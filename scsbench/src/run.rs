@@ -213,7 +213,8 @@ struct Inputs {
 enum Load {
     /// Seeded Poisson arrivals at `rate` per second for `secs`.
     Open { rate: f64, secs: f64 },
-    /// Every connection sends its next read as soon as the last returns.
+    /// `Ctx::readers` connections, each sending its next read as soon
+    /// as the last returns.
     Closed { secs: f64 },
 }
 
@@ -375,26 +376,20 @@ impl Ctx {
         let server = start_server(search, tr, 0)?;
         check_fresh(&server.stats())?;
         let base = settle(|p, n| p.fds == n.fds && p.threads == n.threads);
-        let (arrivals, label) = match load {
+        let (arrivals, label, conns) = match load {
             Load::Open { rate, secs } => {
                 let n = (rate * secs).round() as usize;
                 let due = gen::poisson_schedule(rate, n, sub_seed(self.seed, rate.to_bits()));
-                (Arrivals::At(due), format!("{rate}/s"))
+                (Arrivals::At(due), format!("{rate}/s"), self.clients)
             }
             Load::Closed { secs } => (
                 Arrivals::Closed(Duration::from_secs_f64(secs)),
                 "closed loop".to_string(),
+                self.readers(),
             ),
         };
         let addr = server.local_addr();
-        let log = http_load(
-            addr,
-            &inputs.reads,
-            &arrivals,
-            &inputs.warmup,
-            self.clients,
-            tr,
-        )?;
+        let log = http_load(addr, &inputs.reads, &arrivals, &inputs.warmup, conns, tr)?;
         let stats = server.stats();
         let admission = server.admission();
         let after = settle(|_, n| n.fds <= base.fds && n.threads <= base.threads);
@@ -505,15 +500,15 @@ impl Ctx {
             };
             (phase.log, peak, visible)
         } else {
-            // The open-loop ladder, a sixth of the window per rate, gives
+            // The open-loop ladder, a ninth of the window per rate, gives
             // the printed latencies per rate and max_ok_rate_qps; the
-            // closed loop, the other half, gives the gated metrics.
+            // closed loop, the other two thirds, gives the gated metrics.
             let window = self.window.as_secs_f64();
             let mut max_ok = None;
             for rate in LADDER {
                 let load = Load::Open {
                     rate,
-                    secs: window / 6.0,
+                    secs: window / 9.0,
                 };
                 let phase = self.http_phase(&search, &inputs, load, &tr, out)?;
                 let lat = phase.log.lat_ms();
@@ -549,7 +544,9 @@ impl Ctx {
                     format!("max_ok_rate_qps: no ladder rate meets p99 <= {LATENCY_LIMIT_MS} ms")
                 }
             });
-            let load = Load::Closed { secs: window / 2.0 };
+            let load = Load::Closed {
+                secs: window * 2.0 / 3.0,
+            };
             let phase = self.http_phase(&search, &inputs, load, &tr, out)?;
             out.notes.push(format!(
                 "  closed loop: {} reads, cache hit rate {:.3}",
