@@ -239,47 +239,6 @@ impl CommunitySearch {
         Subgraph::from_edges(&self.graph, out)
     }
 
-    /// Batch entry point: answers every `(q, α, β)` query in
-    /// `queries`, in order, through **one** workspace.
-    ///
-    /// The epoch-stamped scratch inside `ws` is what makes the batch
-    /// cheaper than a loop over [`Self::significant_community`]: buffer
-    /// clears between adjacent queries are O(1) epoch bumps, never
-    /// graph-sized writes, and every buffer stays resident at the size
-    /// of the largest query served so far. The serving layer's batch
-    /// path (`scs-service`) sits directly on this kernel.
-    pub fn significant_communities_in(
-        &self,
-        queries: &[(Vertex, usize, usize)],
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-    ) -> Vec<Subgraph<'_>> {
-        let mut outs = Vec::new();
-        self.significant_communities_into(queries, algorithm, ws, &mut outs);
-        outs.into_iter()
-            .map(|edges| Subgraph::from_edges(&self.graph, edges))
-            .collect()
-    }
-
-    /// [`Self::significant_communities_in`] writing into caller-owned
-    /// result buffers: `outs` is resized to `queries.len()` and
-    /// `outs[i]` receives the sorted edge ids of query `i`'s community.
-    /// With a warm `ws` and warm `outs`, a repeated batch performs zero
-    /// heap allocations.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-    pub fn significant_communities_into(
-        &self,
-        queries: &[(Vertex, usize, usize)],
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-        outs: &mut Vec<Vec<EdgeId>>,
-    ) {
-        outs.resize_with(queries.len(), Vec::new); // contract-ok: capacity-0 construction; Vec::new never touches the heap
-        for (&(q, alpha, beta), out) in queries.iter().zip(outs.iter_mut()) {
-            self.significant_community_into(q, alpha, beta, algorithm, ws, out);
-        }
-    }
-
     /// [`Self::significant_community_into`] storing the result in
     /// arena storage: the community's sorted edge ids are copied into a
     /// slab of `arena` and the returned [`ArenaEdges`] handle pins
@@ -302,29 +261,6 @@ impl CommunitySearch {
         let stored = arena.store(&out);
         ws.result = out;
         stored
-    }
-
-    /// Batch form of [`Self::significant_community_arena`]: answers
-    /// every query through one workspace and one arena, pushing one
-    /// handle per query into `outs` (cleared first; previous handles
-    /// are released, returning their slab space to circulation once
-    /// nothing else pins it). Warm, a repeated batch is allocation-free
-    /// end to end.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-    pub fn significant_communities_arena(
-        &self,
-        queries: &[(Vertex, usize, usize)],
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-        arena: &mut ResultArena,
-        outs: &mut Vec<ArenaEdges>,
-    ) {
-        outs.clear();
-        outs.reserve(queries.len()); // contract-ok: workspace scratch retains warm capacity across queries; growth is cold (alloc-gated)
-        for &(q, alpha, beta) in queries {
-            let stored = self.significant_community_arena(q, alpha, beta, algorithm, ws, arena);
-            outs.push(stored); // contract-ok: workspace scratch retains warm capacity across queries; growth is cold (alloc-gated)
-        }
     }
 
     /// Fully allocation-free query: `out` is cleared and receives the
@@ -400,66 +336,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_query_results() {
-        let search = CommunitySearch::new(figure2_example());
-        let g = search.graph();
-        let queries: Vec<(Vertex, usize, usize)> = (0..g.n_upper())
-            .flat_map(|i| [(g.upper(i), 2, 2), (g.upper(i), 1, 1)])
-            .collect();
-        for algo in Algorithm::ALL {
-            let mut ws = QueryWorkspace::new();
-            let batched = search.significant_communities_in(&queries, algo, &mut ws);
-            assert_eq!(batched.len(), queries.len());
-            for (&(q, a, b), got) in queries.iter().zip(&batched) {
-                let solo = search.significant_community(q, a, b, algo);
-                assert_eq!(got.edges(), solo.edges(), "q={q:?} α={a} β={b} {algo}");
-            }
-            // A warm workspace answers the same batch without growing.
-            let bytes = ws.heap_bytes();
-            let again = search.significant_communities_in(&queries, algo, &mut ws);
-            assert_eq!(ws.heap_bytes(), bytes, "warm batch must not grow scratch");
-            for (x, y) in batched.iter().zip(&again) {
-                assert_eq!(x.edges(), y.edges());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_into_reuses_result_buffers() {
-        let search = CommunitySearch::new(figure2_example());
-        let q = search.graph().upper(2);
-        let mut ws = QueryWorkspace::new();
-        let mut outs = Vec::new();
-        // A longer batch first, then a shorter one: `outs` must shrink.
-        search.significant_communities_into(
-            &[(q, 2, 2), (q, 1, 1), (q, 3, 3)],
-            Algorithm::Peel,
-            &mut ws,
-            &mut outs,
-        );
-        assert_eq!(outs.len(), 3);
-        assert_eq!(outs[0].len(), 4);
-        search.significant_communities_into(&[(q, 2, 2)], Algorithm::Peel, &mut ws, &mut outs);
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].len(), 4);
-        // Empty batch: no results, no panic.
-        search.significant_communities_into(&[], Algorithm::Auto, &mut ws, &mut outs);
-        assert!(outs.is_empty());
-    }
-
-    #[test]
     fn arena_results_match_vec_results() {
         let search = CommunitySearch::new(figure2_example());
         let g = search.graph();
         let queries: Vec<(Vertex, usize, usize)> = (0..g.n_upper())
             .flat_map(|i| [(g.upper(i), 2, 2), (g.upper(i), 1, 1)])
             .collect();
+        // One workspace and one arena serve every query, as on a worker.
         let mut ws = QueryWorkspace::new();
         let mut arena = ResultArena::new();
-        let mut handles = Vec::new();
         for algo in Algorithm::ALL {
-            search.significant_communities_arena(&queries, algo, &mut ws, &mut arena, &mut handles);
-            assert_eq!(handles.len(), queries.len());
+            let handles: Vec<ArenaEdges> = queries
+                .iter()
+                .map(|&(q, a, b)| {
+                    search.significant_community_arena(q, a, b, algo, &mut ws, &mut arena)
+                })
+                .collect();
             for (&(q, a, b), stored) in queries.iter().zip(&handles) {
                 let solo = search.significant_community(q, a, b, algo);
                 assert_eq!(
@@ -470,15 +362,6 @@ mod tests {
                 assert!(stored.pinned());
             }
         }
-        // Single-query form agrees too, sharing the same arena.
-        let q = g.upper(2);
-        let one = search.significant_community_arena(q, 2, 2, Algorithm::Peel, &mut ws, &mut arena);
-        assert_eq!(
-            one.as_slice(),
-            search
-                .significant_community(q, 2, 2, Algorithm::Peel)
-                .edges()
-        );
     }
 
     #[test]

@@ -34,46 +34,24 @@
 //! * cache entries hold responses by value; **eviction (or an
 //!   epoch-swap clear) drops the entry's slab handle, and once every
 //!   handle of a slab's generation is gone the owning worker recycles
-//!   the slab in place** — live handles, including results published to
-//!   other threads by a split batch, pin their slab via refcount and a
-//!   generation tag proves they can never observe recycled storage;
-//! * batch bookkeeping (slot grouping, leader/follower partitions,
-//!   sub-batch descriptors) lives in per-worker scratch and a pooled
-//!   [`BatchShared`], all capacity-retaining.
+//!   the slab in place** — live handles pin their slab via refcount and
+//!   a generation tag proves they can never observe recycled storage;
+//! * batch bookkeeping (slot grouping, leader/follower partitions)
+//!   lives in per-worker scratch, all capacity-retaining.
 //!
 //! Batches ([`QueryEngine::submit_batch`]) ride the same machinery with
 //! the per-request overheads paid once: one job carries the whole batch
 //! through the queue, the serving worker reads **one** index snapshot,
 //! looks every *unique* key up in the cache once, partitions the misses
-//! into leaders / followers / stale up front, and answers the leaders
-//! through batched kernel calls
-//! ([`scs::CommunitySearch::significant_communities_arena`]). Responses
-//! come back in submission order; duplicate keys inside a batch are
+//! into leaders / followers / stale up front, and answers each leader
+//! in turn with [`scs::CommunitySearch::significant_community_arena`]
+//! on the worker's one reused workspace and arena. Every leader is
+//! published before the worker waits on any other flight, so two
+//! workers batching each other's keys cannot deadlock. Responses come
+//! back in submission order; duplicate keys inside a batch are
 //! computed once and the extra slots answered exactly as a serial
 //! resubmission would be, so [`ServiceStats`] cannot drift between
 //! submission modes.
-//!
-//! When the pool has idle capacity, a batch is additionally **split**:
-//! after the hit/coalesce/leader partition, the leader computations are
-//! carved into per-worker sub-batches and the number of workers woken
-//! to help is bounded by `min(idle workers, ceil(leaders /
-//! min_sub_batch) - 1)` — chunk boundaries respect per-algorithm runs
-//! (each chunk is one batched kernel call), so a many-algorithm batch
-//! may carve more chunks than that, but never runs them any wider.
-//! Chunks are parked in a claimable queue shared with the pool and
-//! advertised with [`Job::Sub`] wake-up hints. Any worker —
-//! the batch owner included — claims and runs sub-batches; each one is
-//! pure compute-and-publish (one batched kernel call, each leader's
-//! flight and cache entry published the moment its summary exists —
-//! into the *executing* worker's arena, whose slab the published
-//! handles pin), so a sub-batch can never wait on another flight and
-//! the owner's join can never deadlock. The owner drains whatever the
-//! pool does not claim, waits for the stragglers, and only then — with
-//! every one of its leaders published — blocks on stale retries and
-//! followers, preserving the no-deadlock ordering argument of the
-//! unsplit path. Results are bit-identical to the unsplit (and
-//! per-request) path; the split only changes which thread runs which
-//! leader.
 //!
 //! # Sharding
 //!
@@ -92,9 +70,7 @@
 //! all shards agree on the epoch sequence); stats aggregate. On Linux,
 //! each shard's workers are pinned to a distinct CPU set
 //! (best-effort); elsewhere pinning is a no-op and sharding still
-//! isolates the queues, caches and arenas. The split queue is
-//! shard-local — sub-batch claiming never crosses a shard boundary
-//! (cross-shard stealing is a ROADMAP follow-up).
+//! isolates the queues, caches and arenas.
 //!
 //! [`QueryEngine::install`] atomically replaces the index (one
 //! write-lock per shard), bumps the epoch and clears the cache, so a
@@ -122,7 +98,7 @@ use crate::telemetry::{
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
 use bigraph::arena::ResultArena;
 use bigraph::Vertex;
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{CommunitySearch, QueryWorkspace};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -150,24 +126,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Cache shards (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Batch-splitting granularity **floor**: a split batch wakes at
-    /// most one helper per effective-`min_sub_batch` leader
-    /// computations (and never more than the pool's idle capacity), so
-    /// tiny batches are served inline instead of being scattered.
-    /// Once enough kernel-stage samples exist the engine raises the
-    /// effective value from the observed per-leader kernel cost —
-    /// cheap kernels get coarser chunks so scheduling overhead cannot
-    /// dominate — but never below this floor (visible per shard via
-    /// [`crate::stats::ShardStats::min_sub_batch_effective`]). Chunks
-    /// themselves follow per-algorithm runs and can be smaller or more
-    /// numerous than this fan-out; they queue behind it. Clamped to
-    /// ≥ 1.
-    pub min_sub_batch: usize,
-    /// Adaptive batch splitting on/off. Off, every batch is served in
-    /// full by the worker that dequeued it (the pre-split behaviour and
-    /// the `scs serve-bench --no-split` escape hatch); results are
-    /// identical either way.
-    pub split_batches: bool,
     /// Edge capacity of each result-arena slab (per worker). Smaller
     /// slabs turn over — and recycle — faster at the cost of more
     /// pinned-slab fragmentation; the default
@@ -211,8 +169,6 @@ impl Default for ServiceConfig {
             shards: 1,
             cache_capacity: 4096,
             cache_shards: 16,
-            min_sub_batch: 8,
-            split_batches: true,
             arena_slab_edges: bigraph::arena::DEFAULT_SLAB_EDGES,
             slow_ring_capacity: 16,
             pending_budget: 1024,
@@ -280,8 +236,8 @@ enum Role {
 /// and removed so the key is not permanently wedged. The flight then
 /// returns to the pool for reuse.
 ///
-/// Owns an `Arc` to the engine state (not a borrow) so a guard can ride
-/// a split batch's sub-batch to another worker thread.
+/// Owns an `Arc` to the engine state (not a borrow) so guards can be
+/// parked in the worker's reusable batch scratch.
 struct FlightGuard {
     inner: Arc<Inner>,
     key: QueryRequest,
@@ -326,76 +282,15 @@ impl Drop for FlightGuard {
     }
 }
 
-/// One leader computation of a batch: the flight to publish plus the
-/// submission slots its key answers, as a `(start, end)` range into a
-/// slot store (the owner's grouped slot table inline, the shared copy
-/// when split). Slot `store[start]` is the leader's own.
-struct Unit {
-    guard: FlightGuard,
-    slots: (u32, u32),
-    /// This key's pass-1 cache-lookup time, µs — carried so the unit's
-    /// eventual publisher can attribute the cache-lookup stage no
-    /// matter which worker runs the unit.
-    cache_us: u64,
-}
-
-/// One fanned-out share of a split batch: a same-algorithm run of
-/// leader units (a range into [`BatchShared::units`]) that one worker
-/// answers through one batched kernel call. Whoever pops a range owns
-/// its units, so their flight guards poison-and-clean on a panic
-/// exactly like an inline leader's.
-struct SubRange {
-    algo: Algorithm,
-    units: std::ops::Range<usize>,
-}
-
-/// Join state shared between a splitting batch owner and the workers
-/// that claim its sub-batches. Pooled and recycled across batches: all
-/// contained buffers retain capacity, so a warm split batch allocates
-/// nothing.
-struct BatchShared {
-    /// The owner's index snapshot: every sub-batch computes on it, so a
-    /// split batch is as epoch-consistent as an unsplit one.
-    search: Arc<CommunitySearch>,
-    epoch: u64,
-    /// The batch's dequeue time — response `service_us` is measured
-    /// from it on every worker, as in the unsplit path.
-    t0: Instant,
-    /// The batch's queue wait (enqueue → dequeue), µs — the base of
-    /// every split unit's stage attribution.
-    queue_us: u64,
-    /// The owner's snapshot-acquire + flight-join window, µs.
-    snapshot_us: u64,
-    /// Chunks carved; the owner waits until `done` reaches it.
-    total: usize,
-    /// Submission slots of every split unit, grouped per unit (the
-    /// owner copies each unit's group here so executors need no access
-    /// to the owner's scratch). Read-only once hints are posted.
-    slot_store: Vec<u32>,
-    /// The split units; executors `take()` the ones in their claimed
-    /// range.
-    units: Mutex<Vec<Option<Unit>>>,
-    /// Unclaimed sub-batches. Any worker (the owner included) pops and
-    /// executes; a [`Job::Sub`] hint that finds this empty is a no-op.
-    queue: Mutex<Vec<SubRange>>,
-    done: Mutex<usize>,
-    cv: Condvar,
-    /// `(submission slot, response)` pairs from executed chunks.
-    results: Mutex<Vec<(u32, QueryResponse)>>,
-}
-
 /// The slice of batch context every leader-publishing site needs.
 #[derive(Clone, Copy)]
-struct BatchCtx<'a> {
-    search: &'a CommunitySearch,
+struct BatchCtx {
     epoch: u64,
     t0: Instant,
-    /// Batch-level stage bases shared by every unit: the queue wait and
-    /// the owner's snapshot-acquire window, µs.
+    /// Batch-level stage bases shared by every leader: the queue wait
+    /// and the snapshot-acquire window, µs.
     queue_us: u64,
     snapshot_us: u64,
-    /// How this unit reached the kernel: inline batch or split chunk.
-    prov: Provenance,
 }
 
 /// A pooled one-shot reply slot: the worker `put`s exactly once (or
@@ -464,8 +359,7 @@ fn respond_and_pool<T>(pool: &ArcPool<ReplyCell<T>>, cell: Arc<ReplyCell<T>>, va
 /// A pool of reusable `Arc`'d objects. `take_free` only returns an
 /// entry whose strong count is 1 — nothing else references it, so the
 /// caller may reset and reuse it; busy entries (a follower still
-/// holding a pooled flight, an unconsumed sub-batch hint) stay pooled
-/// until they free up. Warm `put`s push within retained capacity.
+/// holding a pooled flight) stay pooled until they free up. Warm `put`s push within retained capacity.
 struct ArcPool<T> {
     items: Mutex<Vec<Arc<T>>>,
 }
@@ -511,8 +405,7 @@ impl<T> VecPool<T> {
 }
 
 /// The job queue: a mutex-protected ring with a condvar, in place of a
-/// channel whose every send allocates a node. Workers parked here are
-/// counted in `idle_workers` (the split heuristic's input).
+/// channel whose every send allocates a node.
 struct JobQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -546,10 +439,10 @@ impl JobQueue {
         true
     }
 
-    /// Dequeues, advertising idleness while parked. `None` once the
+    /// Dequeues, parking while the queue is empty. `None` once the
     /// queue is closed **and** drained — pending jobs are always
     /// served.
-    fn pop(&self, idle: &AtomicUsize) -> Option<Job> {
+    fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(job) = state.jobs.pop_front() {
@@ -558,13 +451,7 @@ impl JobQueue {
             if !state.open {
                 return None;
             }
-            // ordering: Relaxed — `idle` is an advisory gauge read by
-            // `split_factor`; a stale count only skews the split
-            // heuristic, never correctness. Pairs with nothing.
-            idle.fetch_add(1, Ordering::Relaxed);
             state = self.cv.wait(state).unwrap();
-            // ordering: Relaxed — same advisory gauge as above.
-            idle.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -600,8 +487,6 @@ struct WindowBase {
     coalesced: u64,
     batches: u64,
     batched: u64,
-    splits: u64,
-    sub_batches: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
@@ -618,8 +503,6 @@ impl WindowBase {
             coalesced: 0,
             batches: 0,
             batched: 0,
-            splits: 0,
-            sub_batches: 0,
             cache_hits: 0,
             cache_misses: 0,
             cache_evictions: 0,
@@ -642,19 +525,10 @@ struct Inner {
     coalesced: AtomicU64,
     batches: AtomicU64,
     batched: AtomicU64,
-    splits: AtomicU64,
-    sub_batches: AtomicU64,
-    /// Workers currently parked on the job queue — the idle capacity
-    /// the split heuristic consults. Reads are advisory: a stale count
-    /// only mis-sizes a split, never mis-answers one.
-    idle_workers: AtomicUsize,
-    min_sub_batch: usize,
-    split_batches: bool,
     scratch: Vec<ScratchSlot>,
     reply_pool: ArcPool<ReplyCell<QueryResponse>>,
     batch_reply_pool: ArcPool<ReplyCell<Vec<QueryResponse>>>,
     flight_pool: ArcPool<Flight>,
-    shared_pool: ArcPool<BatchShared>,
     req_pool: VecPool<QueryRequest>,
     resp_pool: VecPool<QueryResponse>,
     /// Worker threads owned by this shard.
@@ -666,12 +540,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// Target kernel time per sub-batch, µs — the knob behind the
-    /// dynamic [`Self::effective_min_sub_batch`]. Large enough that a
-    /// chunk's compute dwarfs its queue/wake cost, small enough that a
-    /// medium batch still fans out.
-    const TARGET_CHUNK_US: u64 = 200;
-
     /// The current `(index snapshot, epoch)` pair, read consistently.
     fn snapshot(&self) -> (Arc<CommunitySearch>, u64) {
         let guard = self.search.read().unwrap();
@@ -793,107 +661,14 @@ impl Inner {
             false
         }
     }
-
-    /// The split granularity actually in force: the configured
-    /// `min_sub_batch` floor, raised — once enough kernel-stage
-    /// samples exist — so that one sub-batch covers roughly
-    /// [`Self::TARGET_CHUNK_US`] of observed per-leader kernel time.
-    /// Cheap kernels thus get coarser chunks (scheduling overhead
-    /// cannot dominate the work), expensive kernels fall back to the
-    /// floor (maximum fan-out). Two relaxed loads per algorithm; a
-    /// stale reading only mis-sizes a split, never mis-answers one.
-    ///
-    /// Batch units record the *shared* kernel-call window, so the
-    /// per-unit mean overestimates true per-leader cost under batch
-    /// traffic — which only biases chunks larger, the safe direction.
-    fn effective_min_sub_batch(&self) -> usize {
-        /// Kernel-stage samples required before the feedback engages;
-        /// below it the configured floor rules (a cold engine behaves
-        /// exactly as configured).
-        const MIN_SAMPLES: u64 = 32;
-        let (count, sum) = self.telemetry.kernel_cost_us();
-        if count < MIN_SAMPLES {
-            return self.min_sub_batch;
-        }
-        let per_unit_us = (sum / count).max(1);
-        self.min_sub_batch
-            .max(((Self::TARGET_CHUNK_US / per_unit_us).max(1)) as usize)
-    }
-
-    /// How many sub-batches to carve `n_units` leader computations
-    /// into: 1 (serve inline) unless splitting is enabled, and
-    /// otherwise capped both by the pool's idle capacity (idle workers
-    /// plus the serving worker itself) and by the one-sub-batch-per-
-    /// [`Self::effective_min_sub_batch`]-leaders floor, so small
-    /// batches stay whole.
-    // scs-contract: no-alloc, no-block — the split decision runs per
-    // batch on the worker; it must stay a couple of loads and a division.
-    fn split_factor(&self, n_units: usize) -> usize {
-        if !self.split_batches || n_units < 2 {
-            return 1;
-        }
-        // ordering: Relaxed — advisory gauge written by `JobQueue::pop`;
-        // a stale value only changes the split heuristic.
-        let idle = self.idle_workers.load(Ordering::Relaxed);
-        (idle + 1).min(n_units.div_ceil(self.effective_min_sub_batch()))
-    }
-
-    /// A recycled (or fresh) [`BatchShared`] with its plain fields set
-    /// and every buffer empty-but-warm.
-    fn batch_shared(
-        &self,
-        search: Arc<CommunitySearch>,
-        epoch: u64,
-        t0: Instant,
-        queue_us: u64,
-        snapshot_us: u64,
-    ) -> Arc<BatchShared> {
-        match self.shared_pool.take_free() {
-            Some(mut shared) => {
-                let s = Arc::get_mut(&mut shared).expect("pool returned a free entry");
-                s.search = search;
-                s.epoch = epoch;
-                s.t0 = t0;
-                s.queue_us = queue_us;
-                s.snapshot_us = snapshot_us;
-                s.total = 0;
-                s.slot_store.clear();
-                s.units.get_mut().unwrap().clear();
-                s.queue.get_mut().unwrap().clear();
-                *s.done.get_mut().unwrap() = 0;
-                s.results.get_mut().unwrap().clear();
-                shared
-            }
-            // contract-ok: cold pool-fill arm
-            None => Arc::new(BatchShared {
-                search,
-                epoch,
-                t0,
-                queue_us,
-                snapshot_us,
-                total: 0,
-                slot_store: Vec::new(), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-                units: Mutex::new(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-                queue: Mutex::new(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-                done: Mutex::new(0),
-                cv: Condvar::new(),
-                results: Mutex::new(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-            }),
-        }
-    }
 }
 
-/// The per-worker compute state: the reusable workspace, the result
-/// arena, and the kernel-call staging buffers. One per worker thread,
-/// reused across every query, batch, sub-batch and epoch swap it
-/// serves.
+/// The per-worker compute state: the reusable workspace and the result
+/// arena. One per worker thread, reused across every query, batch and
+/// epoch swap it serves.
 struct KernelState {
     ws: QueryWorkspace,
     arena: ResultArena,
-    /// Batched-kernel query list, rebuilt per run.
-    queries: Vec<(Vertex, usize, usize)>,
-    /// Batched-kernel result handles, drained per run.
-    handles: Vec<bigraph::arena::ArenaEdges>,
 }
 
 impl KernelState {
@@ -901,8 +676,6 @@ impl KernelState {
         KernelState {
             ws: QueryWorkspace::new(),
             arena: ResultArena::with_slab_capacity(arena_slab_edges),
-            queries: Vec::new(),
-            handles: Vec::new(),
         }
     }
 }
@@ -926,35 +699,15 @@ struct BatchScratch {
     leaders: Vec<(FlightGuard, u32)>,
     followers: Vec<(Arc<Flight>, u32)>,
     stale_keys: Vec<u32>,
-    sink: Vec<(u32, QueryResponse)>,
-    /// One bucket per [`Algorithm::ALL`] entry.
-    algo_units: Vec<Vec<Unit>>,
-}
-
-/// Sub-batch executor scratch, separate from [`BatchScratch`] because a
-/// worker can run another owner's chunks while its own batch scratch is
-/// in use.
-#[derive(Default)]
-struct SubScratch {
-    units: Vec<Unit>,
-    sink: Vec<(u32, QueryResponse)>,
 }
 
 /// Everything a worker thread owns.
 struct WorkerState {
     kernel: KernelState,
     batch: BatchScratch,
-    sub: SubScratch,
     /// Per-request stage stopwatch — plain scalars, reused forever, so
     /// stage attribution costs clock reads and nothing else.
     rec: StageRecorder,
-}
-
-fn algo_rank(algo: Algorithm) -> usize {
-    Algorithm::ALL
-        .iter()
-        .position(|&a| a == algo)
-        .expect("every algorithm is in ALL")
 }
 
 /// Serves one request with full per-request accounting: one cache
@@ -1080,7 +833,7 @@ fn serve_miss(
 }
 
 /// Builds and publishes one leader's response (cache + flight), then
-/// answers every submission slot of its key into `sink`. `slots[0]` is
+/// answers every submission slot of its key into `out`. `slots[0]` is
 /// the leader's own. Duplicate slots are answered the way a serial
 /// per-request resubmission would be: as cache hits when the leader's
 /// result went into the cache, otherwise (an install retired the epoch
@@ -1090,18 +843,19 @@ fn serve_miss(
 /// unique keys (with a cache smaller than one batch's key set, a
 /// duplicate counts as the hit its entry was at insert time even if
 /// eviction would have forced a per-request resubmission to recompute;
-/// deliberately so — re-probing, let alone recomputing, could block,
-/// and sub-batch execution must never wait).
+/// deliberately so — a re-probe that missed would join a flight and
+/// could wait on another worker before this batch's remaining leaders
+/// are published).
 #[allow(clippy::too_many_arguments)] // internal plumbing; the args are the trace
 fn publish_unit(
     inner: &Arc<Inner>,
-    ctx: BatchCtx<'_>,
+    ctx: BatchCtx,
     mut guard: FlightGuard,
     slots: &[u32],
     summary: CommunitySummary,
     kernel_us: u64,
     cache_us: u64,
-    sink: &mut Vec<(u32, QueryResponse)>,
+    out: &mut [Option<QueryResponse>],
 ) {
     let us = |t0: &Instant| t0.elapsed().as_micros() as u64;
     let pt0 = Instant::now();
@@ -1118,11 +872,11 @@ fn publish_unit(
     guard.publish(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
     drop(guard);
     inner.finish(&resp);
-    // Stage attribution for every slot this unit answers: the batch's
-    // queue wait and snapshot window, this key's pass-1 lookup, the
-    // (shared) kernel-call window and this unit's publish window — all
-    // disjoint wall-clock sub-intervals, so the stage sum never
-    // exceeds the end-to-end total.
+    // Stage attribution for every slot this leader answers: the batch's
+    // queue wait and snapshot window, this key's pass-1 lookup, this
+    // leader's own kernel call and its publish window — all disjoint
+    // wall-clock sub-intervals, so the stage sum never exceeds the
+    // end-to-end total.
     let mut stages = StageSet::new();
     stages
         .set(Stage::QueueWait, ctx.queue_us)
@@ -1135,10 +889,10 @@ fn publish_unit(
         ctx.epoch,
         false,
         false,
-        ctx.prov,
+        Provenance::Batch,
         ctx.queue_us + us(&ctx.t0),
     ));
-    sink.push((slots[0], resp.clone())); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
+    out[slots[0] as usize] = Some(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
     for &slot in &slots[1..] {
         let r = if resident {
             inner.cache.record_extra_hit();
@@ -1163,146 +917,17 @@ fn publish_unit(
             ctx.epoch,
             r.cached,
             r.coalesced,
-            ctx.prov,
+            Provenance::Batch,
             ctx.queue_us + r.service_us,
         ));
-        sink.push((slot, r)); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-    }
-}
-
-/// Answers a same-algorithm run of leader units through **one** batched
-/// kernel call on the executing worker's kernel state — results land in
-/// that worker's arena — publishing each leader the moment its summary
-/// exists and appending `(slot, response)` pairs to `sink`. `units` is
-/// drained (capacity kept); `store` resolves each unit's slot range. A
-/// panic inside the kernel unwinds through the remaining guards,
-/// poisoning every unpublished flight.
-fn run_units(
-    inner: &Arc<Inner>,
-    ctx: BatchCtx<'_>,
-    algo: Algorithm,
-    units: &mut Vec<Unit>,
-    store: &[u32],
-    k: &mut KernelState,
-    sink: &mut Vec<(u32, QueryResponse)>,
-) {
-    k.queries.clear();
-    // contract-ok: warm pooled buffer; growth is cold
-    k.queries.extend(units.iter().map(|u| {
-        (
-            u.guard.key.q,
-            u.guard.key.alpha as usize,
-            u.guard.key.beta as usize,
-        )
-    }));
-    // `units` lives in caller-owned reusable scratch, so a panic
-    // unwinding out of the kernel would no longer drop the guards by
-    // itself (it did when units was an owned Vec) — clear the buffer
-    // before re-raising so every unpublished flight is poisoned and no
-    // stale unit (whose slot range indexes *this* batch's tables) can
-    // leak into the next batch served from the same scratch.
-    let kt0 = Instant::now();
-    let kernel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ctx.search.significant_communities_arena(
-            &k.queries,
-            algo,
-            &mut k.ws,
-            &mut k.arena,
-            &mut k.handles,
-        )
-    }));
-    if let Err(panic) = kernel {
-        units.clear();
-        std::panic::resume_unwind(panic);
-    }
-    // One batched call served the whole run, so each of its units is
-    // attributed the full kernel window — the cost the run's members
-    // shared; a per-unit split would misstate where the batch's time
-    // went (the units ran *inside* this window, not after each other).
-    let kernel_us = kt0.elapsed().as_micros() as u64;
-    // A panic below (publishing) is already safe: `Drain` drops the
-    // not-yet-yielded units on unwind, poisoning their flights.
-    for (unit, edges) in units.drain(..).zip(k.handles.drain(..)) {
-        let summary = CommunitySummary::from_arena_edges(ctx.search.graph(), edges, &mut k.ws);
-        let (s0, s1) = unit.slots;
-        publish_unit(
-            inner,
-            ctx,
-            unit.guard,
-            &store[s0 as usize..s1 as usize],
-            summary,
-            kernel_us,
-            unit.cache_us,
-            sink,
-        );
-    }
-}
-
-/// Drains and executes a split batch's unclaimed sub-batches; called by
-/// the batch owner (who runs whatever the pool does not claim) and by
-/// any worker that dequeued a [`Job::Sub`] hint. Chunk execution is
-/// pure compute-and-publish — it never waits on another flight — which
-/// is what keeps the split path deadlock-free: every chunk is either
-/// unclaimed (the owner will run it) or actively computing, so the
-/// owner's join always makes progress.
-fn run_split_chunks(
-    inner: &Arc<Inner>,
-    shared: &BatchShared,
-    k: &mut KernelState,
-    sub: &mut SubScratch,
-) {
-    loop {
-        let Some(range) = shared.queue.lock().unwrap().pop() else {
-            return;
-        };
-        // Count the chunk done even if the kernel panics (its guards
-        // poison the flights), so the owner's join never hangs — the
-        // missing results make the owner fail loudly instead.
-        struct DoneGuard<'a>(&'a BatchShared);
-        impl Drop for DoneGuard<'_> {
-            fn drop(&mut self) {
-                *self.0.done.lock().unwrap() += 1;
-                self.0.cv.notify_all();
-            }
-        }
-        let _done = DoneGuard(shared);
-        let ctx = BatchCtx {
-            search: &shared.search,
-            epoch: shared.epoch,
-            t0: shared.t0,
-            queue_us: shared.queue_us,
-            snapshot_us: shared.snapshot_us,
-            prov: Provenance::Split,
-        };
-        sub.units.clear();
-        {
-            let mut units = shared.units.lock().unwrap();
-            // contract-ok: Range clone is a stack copy
-            for i in range.units.clone() {
-                if let Some(unit) = units[i].take() {
-                    sub.units.push(unit); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                }
-            }
-        }
-        sub.sink.clear();
-        run_units(
-            inner,
-            ctx,
-            range.algo,
-            &mut sub.units,
-            &shared.slot_store,
-            k,
-            &mut sub.sink,
-        );
-        shared.results.lock().unwrap().extend(sub.sink.drain(..)); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
+        out[slot as usize] = Some(r);
     }
 }
 
 /// Serves a whole batch, amortizing the per-request costs: one cache
-/// lookup per *unique* key, one index-snapshot read, batched kernel
-/// calls for the leaders — fanned out across idle workers when the
-/// split heuristic (see [`Inner::split_factor`]) says the pool has
-/// capacity — and one response vector (pooled) in submission order.
+/// lookup per *unique* key, one index-snapshot read, one kernel call
+/// per leader on this worker's workspace, and one response vector
+/// (pooled) in submission order.
 // scs-contract: no-alloc — the warm batch path reuses pooled buffers
 // end to end; proven transitively by `scs analyze`.
 fn serve_batch(
@@ -1314,7 +939,6 @@ fn serve_batch(
     let WorkerState {
         kernel: k,
         batch: b,
-        sub,
         rec,
     } = state;
     let t0 = Instant::now();
@@ -1329,17 +953,11 @@ fn serve_batch(
     let us = |t0: &Instant| t0.elapsed().as_micros() as u64;
 
     // Reset every buffer a previous batch could have left populated by
-    // panicking mid-serve (the worker survives panics): leftover sink
-    // responses would pin arena slabs, leftover follower/leader
-    // entries would pin pooled flights, and a stale unit's slot range
-    // would index *this* batch's tables. Clears are O(leftovers) and
-    // free in the steady state.
-    b.sink.clear();
+    // panicking mid-serve (the worker survives panics): leftover
+    // follower/leader entries would pin pooled flights. Clears are
+    // O(leftovers) and free in the steady state.
     b.followers.clear();
     b.leaders.clear();
-    for bucket in &mut b.algo_units {
-        bucket.clear();
-    }
 
     // Unique keys in first-occurrence order, each with every submission
     // slot it answers (counting-sort grouping, all reusable buffers).
@@ -1457,146 +1075,47 @@ fn serve_batch(
         }
         let snapshot_us = st0.elapsed().as_micros() as u64;
 
-        // Partition the servable leaders into per-algorithm runs; the
-        // unservable get the empty community immediately.
         let ctx = BatchCtx {
-            search: &search,
             epoch,
             t0,
             queue_us,
             snapshot_us,
-            prov: Provenance::Batch,
         };
-        b.sink.clear();
-        while b.algo_units.len() < Algorithm::ALL.len() {
-            b.algo_units.push(Vec::new()); // contract-ok: capacity-0 construction; Vec::new never touches the heap
-        }
-        let mut n_units = 0usize;
+        // Answer the leaders in order. A panic in a kernel unwinds
+        // through `Drain`, which drops the remaining guards and so
+        // poisons every unpublished flight.
         for (guard, kx) in b.leaders.drain(..) {
-            let (s0, s1) = (b.key_start[kx as usize], b.key_start[kx as usize + 1]);
-            if !Inner::servable(&guard.key, &search) {
-                // No kernel ran for an unservable key; a 0µs kernel
-                // stage still marks the path it took.
-                publish_unit(
-                    inner,
-                    ctx,
-                    guard,
-                    &b.key_slots[s0 as usize..s1 as usize],
-                    CommunitySummary::empty(),
-                    0,
-                    b.key_cache_us[kx as usize],
-                    &mut b.sink,
+            let kx = kx as usize;
+            let req = guard.key;
+            // An unservable key runs no kernel: its 0µs kernel stage
+            // still marks the path it took.
+            let (summary, kernel_us) = if Inner::servable(&req, &search) {
+                let kt0 = Instant::now();
+                let edges = search.significant_community_arena(
+                    req.q,
+                    req.alpha as usize,
+                    req.beta as usize,
+                    req.algo,
+                    &mut k.ws,
+                    &mut k.arena,
                 );
-                continue;
-            }
-            n_units += 1;
-            let cache_us = b.key_cache_us[kx as usize];
-            // contract-ok: warm pooled buffer; growth is cold
-            b.algo_units[algo_rank(guard.key.algo)].push(Unit {
+                let kernel_us = us(&kt0);
+                let summary = CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws);
+                (summary, kernel_us)
+            } else {
+                (CommunitySummary::empty(), 0)
+            };
+            let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
+            publish_unit(
+                inner,
+                ctx,
                 guard,
-                slots: (s0, s1),
-                cache_us,
-            });
-        }
-
-        let fanout = inner.split_factor(n_units);
-        if fanout <= 1 {
-            // Inline: this worker answers every leader itself, one
-            // batched kernel call per algorithm present.
-            for rank in 0..Algorithm::ALL.len() {
-                if b.algo_units[rank].is_empty() {
-                    continue;
-                }
-                run_units(
-                    inner,
-                    ctx,
-                    Algorithm::ALL[rank],
-                    &mut b.algo_units[rank],
-                    &b.key_slots,
-                    k,
-                    &mut b.sink,
-                );
-            }
-        } else {
-            // Split: carve the leader runs into `fanout`-ish chunks
-            // (chunk boundaries respect algorithm runs, so each chunk
-            // is still one kernel call — which also means a batch with
-            // more algorithms than `fanout` carves more, smaller
-            // chunks than `fanout`; the concurrency bound is enforced
-            // on executors below, not on chunk count), park them in a
-            // pooled, claimable [`BatchShared`] and wake idle workers
-            // with hints. We claim and run whatever the pool does not,
-            // then wait for stragglers.
-            let chunk_size = n_units.div_ceil(fanout);
-            let mut shared = inner.batch_shared(search.clone(), epoch, t0, queue_us, snapshot_us); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            {
-                let s = Arc::get_mut(&mut shared).expect("owner holds the only reference");
-                for rank in 0..Algorithm::ALL.len() {
-                    if b.algo_units[rank].is_empty() {
-                        continue;
-                    }
-                    let algo = Algorithm::ALL[rank];
-                    let units_store = s.units.get_mut().unwrap();
-                    let queue = s.queue.get_mut().unwrap();
-                    for (taken, unit) in b.algo_units[rank].drain(..).enumerate() {
-                        // Re-home the unit's slot group into the shared
-                        // store so executors never touch owner scratch.
-                        let (s0, s1) = unit.slots;
-                        let ns0 = s.slot_store.len() as u32;
-                        s.slot_store
-                            .extend_from_slice(&b.key_slots[s0 as usize..s1 as usize]);
-                        let ns1 = s.slot_store.len() as u32;
-                        if taken % chunk_size == 0 {
-                            let at = units_store.len();
-                            // contract-ok: warm pooled buffer; growth is cold
-                            queue.push(SubRange {
-                                algo,
-                                units: at..at,
-                            });
-                        }
-                        // contract-ok: warm pooled buffer; growth is cold
-                        units_store.push(Some(Unit {
-                            guard: unit.guard,
-                            slots: (ns0, ns1),
-                            cache_us: unit.cache_us,
-                        }));
-                        queue.last_mut().expect("range opened above").units.end = units_store.len();
-                    }
-                }
-                s.total = s.queue.get_mut().unwrap().len();
-            }
-            // ordering: Relaxed — independent statistics; pair with
-            // nothing.
-            inner.splits.fetch_add(1, Ordering::Relaxed);
-            inner
-                .sub_batches
-                .fetch_add(shared.total as u64, Ordering::Relaxed);
-            // A hint is only a wake-up: whoever pops a chunk runs it,
-            // and a hinted worker drains chunks in a loop — so the
-            // hint count, not the chunk count, is what bounds the
-            // fan-out width. Cap it at `fanout - 1` helpers (idle
-            // capacity), or a many-algorithm batch would wake more
-            // workers than the pool has idle. A closed queue (shutdown
-            // in progress) just means we run every chunk ourselves.
-            for _ in 1..shared.total.min(fanout) {
-                // contract-ok: refcount bump, no heap
-                if !inner.queue.push(Job::Sub(shared.clone())) {
-                    break;
-                }
-            }
-            run_split_chunks(inner, &shared, k, sub);
-            let mut done = shared.done.lock().unwrap();
-            while *done < shared.total {
-                done = shared.cv.wait(done).unwrap();
-            }
-            drop(done);
-            b.sink.extend(shared.results.lock().unwrap().drain(..)); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                                                                     // Recycle the shared state; unconsumed hints still holding
-                                                                     // it keep it out of circulation until they drain.
-            inner.shared_pool.put(shared);
-        }
-        for (slot, resp) in b.sink.drain(..) {
-            b.out[slot as usize] = Some(resp);
+                &b.key_slots[s0..s1],
+                summary,
+                kernel_us,
+                b.key_cache_us[kx],
+                &mut b.out,
+            );
         }
 
         // Every leader above is published before we wait on anyone
@@ -1703,10 +1222,6 @@ enum Job {
         Arc<ReplyCell<Vec<QueryResponse>>>,
         Instant,
     ),
-    /// Wake-up hint that a split batch has unclaimed sub-batches; the
-    /// receiving worker drains [`BatchShared::queue`] (possibly finding
-    /// nothing — the owner and other workers race for chunks).
-    Sub(Arc<BatchShared>),
 }
 
 /// A pending response; produced by [`QueryEngine::submit`].
@@ -1910,8 +1425,6 @@ struct Agg {
     coalesced: u64,
     batches: u64,
     batched: u64,
-    splits: u64,
-    sub_batches: u64,
     cache: CacheStats,
     epoch: u64,
     service: HistSnapshot,
@@ -1932,8 +1445,6 @@ impl EngineCore {
             coalesced: 0,
             batches: 0,
             batched: 0,
-            splits: 0,
-            sub_batches: 0,
             cache: CacheStats {
                 hits: 0,
                 misses: 0,
@@ -1958,7 +1469,6 @@ impl EngineCore {
             // independent and stats() promises no cross-counter snapshot.
             let completed = inner.completed.load(Ordering::Relaxed);
             let coalesced = inner.coalesced.load(Ordering::Relaxed);
-            let splits = inner.splits.load(Ordering::Relaxed);
             let cache = inner.cache.stats();
             let hist = inner.hist.snapshot();
             agg.workers += inner.workers;
@@ -1967,8 +1477,6 @@ impl EngineCore {
             // ordering: Relaxed — statistics reads, as above.
             agg.batches += inner.batches.load(Ordering::Relaxed);
             agg.batched += inner.batched.load(Ordering::Relaxed);
-            agg.splits += splits;
-            agg.sub_batches += inner.sub_batches.load(Ordering::Relaxed);
             agg.cache.hits += cache.hits;
             agg.cache.misses += cache.misses;
             agg.cache.entries += cache.entries;
@@ -1997,10 +1505,8 @@ impl EngineCore {
                 coalesced,
                 cache_hits: cache.hits,
                 cache_misses: cache.misses,
-                splits,
                 p50_us: hist.quantile_us(0.50),
                 p99_us: hist.quantile_us(0.99),
-                min_sub_batch_effective: inner.effective_min_sub_batch(),
             });
             agg.slow.extend(inner.telemetry.slow_queries());
         }
@@ -2052,16 +1558,10 @@ impl ShardedEngine {
                 coalesced: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 batched: AtomicU64::new(0),
-                splits: AtomicU64::new(0),
-                sub_batches: AtomicU64::new(0),
-                idle_workers: AtomicUsize::new(0),
-                min_sub_batch: config.min_sub_batch.max(1),
-                split_batches: config.split_batches,
                 scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
                 reply_pool: ArcPool::new(),
                 batch_reply_pool: ArcPool::new(),
                 flight_pool: ArcPool::new(),
-                shared_pool: ArcPool::new(),
                 req_pool: VecPool::new(),
                 resp_pool: VecPool::new(),
                 workers,
@@ -2077,7 +1577,7 @@ impl ShardedEngine {
                                 pin_worker(s, n_shards);
                             }
                             // The worker's compute state: workspace, result
-                            // arena and staging buffers, reused across every
+                            // arena and batch scratch, reused across every
                             // query it serves and across index epoch swaps
                             // (buffers simply grow on the first query against
                             // a larger installed graph). After warm-up the
@@ -2085,10 +1585,9 @@ impl ShardedEngine {
                             let mut state = WorkerState {
                                 kernel: KernelState::new(arena_slab_edges),
                                 batch: BatchScratch::default(),
-                                sub: SubScratch::default(),
                                 rec: StageRecorder::new(),
                             };
-                            while let Some(job) = inner.queue.pop(&inner.idle_workers) {
+                            while let Some(job) = inner.queue.pop() {
                                 // Backstop: a panic in query code must not
                                 // shrink the pool. The flight guards have
                                 // already poisoned their keys' followers;
@@ -2164,22 +1663,6 @@ impl ShardedEngine {
                                         inner.req_pool.put(reqs);
                                         respond_and_pool(&inner.batch_reply_pool, reply, resp.ok());
                                     }
-                                    Job::Sub(shared) => {
-                                        // A panicking chunk already poisoned
-                                        // its flights and bumped the owner's
-                                        // done-count; the pool survives it.
-                                        let _ = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                run_split_chunks(
-                                                    &inner,
-                                                    &shared,
-                                                    &mut state.kernel,
-                                                    &mut state.sub,
-                                                )
-                                            }),
-                                        );
-                                        publish_scratch(&state.kernel);
-                                    }
                                 }
                             }
                         })
@@ -2229,32 +1712,26 @@ impl ShardedEngine {
     }
 
     /// Enqueues a whole batch as **one** job: one queue round-trip, one
-    /// index-snapshot read, one cache lookup per unique key, and
-    /// batched kernel calls for the leaders (see
-    /// [`scs::CommunitySearch::significant_communities_arena`]). The
-    /// handle yields every response in submission order; results are
-    /// identical to submitting each request on its own.
+    /// index-snapshot read, one cache lookup per unique key, and one
+    /// [`scs::CommunitySearch::significant_community_arena`] call per
+    /// leader on the serving worker. The handle yields every response
+    /// in submission order; results are identical to submitting each
+    /// request on its own.
     ///
-    /// Batching amortizes the per-request fixed costs; when the pool
-    /// has idle workers the engine additionally **splits** a large
-    /// batch's leader computations into per-worker sub-batches (see the
-    /// [module docs](self) and [`ServiceConfig::min_sub_batch`]), so a
-    /// single big submitter saturates the pool instead of one thread.
-    /// With splitting disabled the whole batch is served by one worker,
-    /// which still pays off when requests are individually cheap or the
-    /// submitter is one of many concurrent clients keeping the pool
-    /// busy.
+    /// Batching amortizes the per-request fixed costs; one worker
+    /// serves the whole batch, which pays off when requests are
+    /// individually cheap or the submitter is one of many concurrent
+    /// clients keeping the pool busy.
     ///
     /// With more than one shard the batch is partitioned by the shard
     /// router into per-shard sub-batches — each rides the machinery
-    /// above on its own shard (one job, one snapshot read, one batched
-    /// kernel call per algorithm *per shard*), and the handle merges
-    /// the answers back into submission order. Each per-shard
-    /// sub-batch counts one `batches` job in the stats, so a
-    /// cross-shard batch over k shards bumps `batches` by k; the
-    /// per-request counters (hits, misses, coalesced, completed) stay
-    /// submission-mode-invariant because routing is a pure function of
-    /// the key.
+    /// above on its own shard (one job and one snapshot read *per
+    /// shard*), and the handle merges the answers back into submission
+    /// order. Each per-shard sub-batch counts one `batches` job in the
+    /// stats, so a cross-shard batch over k shards bumps `batches` by
+    /// k; the per-request counters (hits, misses, coalesced, completed)
+    /// stay submission-mode-invariant because routing is a pure
+    /// function of the key.
     pub fn submit_batch(&self, reqs: &[QueryRequest]) -> BatchHandle {
         let take_cell = |inner: &Inner| match inner.batch_reply_pool.take_free() {
             Some(cell) => {
@@ -2401,8 +1878,6 @@ impl ShardedEngine {
             coalesced: agg.coalesced,
             batches: agg.batches,
             batched: agg.batched,
-            splits: agg.splits,
-            sub_batches: agg.sub_batches,
             cache: agg.cache,
             epoch: agg.epoch,
             installs: agg.telem.installs,
@@ -2465,8 +1940,6 @@ impl ShardedEngine {
             || agg.coalesced < base.coalesced
             || agg.batches < base.batches
             || agg.batched < base.batched
-            || agg.splits < base.splits
-            || agg.sub_batches < base.sub_batches
             || agg.cache.hits < base.cache_hits
             || agg.cache.misses < base.cache_misses
             || agg.cache.evictions < base.cache_evictions
@@ -2489,8 +1962,6 @@ impl ShardedEngine {
             coalesced: agg.coalesced.saturating_sub(base.coalesced),
             batches: agg.batches.saturating_sub(base.batches),
             batched: agg.batched.saturating_sub(base.batched),
-            splits: agg.splits.saturating_sub(base.splits),
-            sub_batches: agg.sub_batches.saturating_sub(base.sub_batches),
             cache: CacheStats {
                 hits: agg.cache.hits.saturating_sub(base.cache_hits),
                 misses: agg.cache.misses.saturating_sub(base.cache_misses),
@@ -2532,8 +2003,6 @@ impl ShardedEngine {
             coalesced: agg.coalesced,
             batches: agg.batches,
             batched: agg.batched,
-            splits: agg.splits,
-            sub_batches: agg.sub_batches,
             cache_hits: agg.cache.hits,
             cache_misses: agg.cache.misses,
             cache_evictions: agg.cache.evictions,
@@ -2614,13 +2083,6 @@ mod tests {
                 ..ServiceConfig::default()
             },
         )
-    }
-
-    /// Workers advertise idleness once they reach the queue; give a
-    /// freshly spawned pool a beat to park so split-engagement
-    /// assertions don't race thread startup.
-    fn settle() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
     }
 
     #[test]
@@ -2827,108 +2289,49 @@ mod tests {
     }
 
     #[test]
-    fn split_batch_matches_unsplit_bit_identically() {
-        let split = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 4,
-                cache_capacity: 64,
-                cache_shards: 4,
-                min_sub_batch: 1,
-                split_batches: true,
-                ..ServiceConfig::default()
-            },
-        );
-        let unsplit = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 4,
-                cache_capacity: 64,
-                cache_shards: 4,
-                min_sub_batch: 1,
-                split_batches: false,
-                ..ServiceConfig::default()
-            },
-        );
-        settle();
-        let g = split.current_index().0.graph().clone();
-        let mut reqs: Vec<QueryRequest> = Vec::new();
-        for i in 0..g.n_upper() {
-            reqs.push(QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel));
-            reqs.push(QueryRequest::new(g.upper(i), 1, 1, Algorithm::Expand));
+    fn batch_charges_each_leader_its_own_kernel_time() {
+        // A 150×150 biclique beside a 2×2 one: one same-algorithm batch
+        // with a leader in each. Each leader's kernel stage must be its
+        // own kernel call, not the whole batch's kernel window.
+        let mut gb = bigraph::GraphBuilder::new();
+        for u in 0..150 {
+            for l in 0..150 {
+                gb.add_edge(u, l, ((u * 7 + l * 13) % 97 + 1) as f64);
+            }
         }
-        reqs.push(reqs[0]); // in-batch duplicate rides along
-        let a = split.query_batch(&reqs);
-        let b = unsplit.query_batch(&reqs);
-        assert_eq!(a.len(), reqs.len());
-        for ((req, x), y) in reqs.iter().zip(&a).zip(&b) {
-            assert_eq!(x.request, *req, "split batch broke submission order");
-            assert_eq!(y.request, *req);
-            assert_eq!(x.summary, y.summary, "{req:?} diverged under splitting");
-            assert_eq!(
-                (x.cached, x.coalesced, x.epoch),
-                (y.cached, y.coalesced, y.epoch),
-                "{req:?} flags diverged under splitting"
-            );
+        for u in 150..152 {
+            for l in 150..152 {
+                gb.add_edge(u, l, (u + l) as f64);
+            }
         }
-        let st = split.stats();
-        let su = unsplit.stats();
-        assert_eq!(st.splits, 1, "split path must have engaged");
-        assert!(st.sub_batches >= 2, "sub_batches={}", st.sub_batches);
-        assert_eq!(su.splits, 0, "split disabled by config");
-        assert_eq!(su.sub_batches, 0);
-        assert_eq!((st.completed, st.coalesced), (su.completed, su.coalesced));
-        assert_eq!(
-            (st.cache.hits, st.cache.misses),
-            (su.cache.hits, su.cache.misses),
-            "counters drifted between split and unsplit"
-        );
-        assert_eq!(split.inflight_len(), 0, "split batch leaked a flight");
-        split.shutdown();
-        unsplit.shutdown();
-    }
-
-    #[test]
-    fn many_algorithm_batch_carves_per_algorithm_chunks() {
-        // Five algorithms force five single-algorithm chunks even when
-        // the fan-out width is smaller; the surplus chunks must queue
-        // behind the capped hints (not wake extra workers) and every
-        // slot must still be answered in order.
+        let g = gb.build().unwrap();
+        let (large, tiny) = (g.upper(0), g.upper(150));
         let e = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
+            CommunitySearch::shared(g),
             ServiceConfig {
-                workers: 2,
-                cache_capacity: 64,
-                cache_shards: 4,
-                min_sub_batch: 8,
-                split_batches: true,
+                workers: 1,
+                slow_ring_capacity: 2,
                 ..ServiceConfig::default()
             },
         );
-        settle();
-        let g = e.current_index().0.graph().clone();
-        let g = &g;
-        let reqs: Vec<QueryRequest> = Algorithm::ALL
-            .into_iter()
-            .flat_map(|algo| (0..4).map(move |i| QueryRequest::new(g.upper(i), 2, 2, algo)))
-            .collect();
-        let resps = e.query_batch(&reqs);
-        for (req, resp) in reqs.iter().zip(&resps) {
-            assert_eq!(resp.request, *req, "submission order broken");
-        }
-        // All algorithms agree on the answer, so every response of one
-        // vertex matches regardless of which chunk computed it.
-        for chunk in resps.chunks(4) {
-            assert_eq!(chunk[0].summary, resps[0].summary);
-        }
-        let st = e.stats();
-        assert_eq!(st.splits, 1);
-        assert_eq!(
-            st.sub_batches,
-            Algorithm::ALL.len() as u64,
-            "one chunk per algorithm run"
+        // The large leader runs first, so the tiny one's total latency
+        // covers it and both land in the slow ring.
+        let resps = e.query_batch(&[
+            QueryRequest::new(large, 2, 2, Algorithm::Peel),
+            QueryRequest::new(tiny, 2, 2, Algorithm::Peel),
+        ]);
+        assert_eq!(resps[1].summary.size(), 4);
+        let slow = e.stats().slow;
+        let kernel_of = |q: Vertex| {
+            slow.iter()
+                .find(|s| s.q == q.0)
+                .unwrap_or_else(|| panic!("{q:?} missing from the slow ring: {slow:?}"))
+                .stages_us[Stage::Kernel as usize]
+        };
+        assert!(
+            kernel_of(tiny) < kernel_of(large),
+            "tiny leader charged the batch's kernel window: {slow:?}"
         );
-        assert_eq!(e.inflight_len(), 0);
         e.shutdown();
     }
 
@@ -3166,35 +2569,6 @@ mod tests {
         );
         sharded.shutdown();
         unsharded.shutdown();
-    }
-
-    #[test]
-    fn min_sub_batch_feedback_respects_the_floor() {
-        let e = engine(1);
-        // Cold engine: below the sample gate, the configured floor
-        // rules (default config floor is 8).
-        assert_eq!(e.stats().per_shard.len(), 1);
-        assert_eq!(e.stats().per_shard[0].min_sub_batch_effective, 8);
-        // Warm it past the gate with unique leader queries (each
-        // records one kernel-stage sample).
-        let g = e.current_index().0.graph().clone();
-        let mut n = 0;
-        'outer: for algo in Algorithm::ALL {
-            for i in 0..g.n_upper() {
-                for (a, b) in [(1usize, 1usize), (1, 2), (2, 1), (2, 2)] {
-                    e.query(QueryRequest::new(g.upper(i), a, b, algo));
-                    n += 1;
-                    if n >= 48 {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        // figure2 kernels are cheap, so the feedback can only raise
-        // the effective value — never drop it below the floor.
-        let eff = e.stats().per_shard[0].min_sub_batch_effective;
-        assert!(eff >= 8, "effective {eff} fell below the configured floor");
-        e.shutdown();
     }
 
     #[test]

@@ -23,17 +23,11 @@
 //!   enqueues and returns a handle; [`engine::QueryEngine::query`] blocks.
 //! * batch submission — [`engine::QueryEngine::submit_batch`] carries N
 //!   requests through the queue as one job: one index-snapshot read, one
-//!   cache lookup per unique key, one worker workspace and one batched
-//!   kernel call per algorithm for the whole batch
-//!   ([`scs::CommunitySearch::significant_communities_in`]), answered in
-//!   submission order with results identical to per-request submission.
-//! * adaptive batch splitting — when the pool has idle workers, a large
-//!   batch's leader computations are carved into per-worker sub-batches
-//!   (at most one per [`engine::ServiceConfig::min_sub_batch`] leaders)
-//!   and fanned out through the queue, so one big submitter saturates
-//!   the pool; results and [`stats::ServiceStats`] counters are
-//!   bit-identical to the unsplit path, and `--no-split` /
-//!   [`engine::ServiceConfig::split_batches`] turns it off for A/B runs.
+//!   cache lookup per unique key, and each leader answered by
+//!   [`scs::CommunitySearch::significant_community_arena`] on the
+//!   serving worker's one reused workspace and arena; responses come
+//!   back in submission order with results identical to per-request
+//!   submission.
 //! * [`cache::ShardedCache`] — a power-of-two-sharded, per-shard-locked
 //!   LRU keyed by `(q, α, β, algorithm)` with hit/miss counters.
 //! * in-flight deduplication — when identical queries race, one worker
@@ -57,7 +51,7 @@
 //!   both reused across queries (and across epoch swaps, growing if a
 //!   larger graph is installed). Summaries are arena-backed
 //!   ([`EdgeStore::Arena`]), responses travel by value, and reply
-//!   slots, flights and batch descriptors are pooled, so the
+//!   slots, flights and batch request/response vectors are pooled, so the
 //!   steady-state **warm leader path performs zero heap allocations
 //!   end to end** — enforced by the counting-allocator binary
 //!   `tests/alloc_free_service.rs`. Slabs recycle when the cache

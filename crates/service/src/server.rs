@@ -59,7 +59,7 @@
 //! [`ServiceConfig::batch_max`] requests or its deadline
 //! ([`ServiceConfig::batch_deadline_ms`]) expires — converting bursty
 //! single-request socket traffic into the engine's batch path (one
-//! queue job, one snapshot, one cache pass, batched kernel calls). A
+//! queue job, one snapshot, one cache pass, one worker workspace). A
 //! small responder pool waits on the [`BatchHandle`]s so the batcher
 //! never blocks on the engine.
 //!

@@ -23,8 +23,8 @@
 //! On the batched path the batch-wide phases (queue wait, snapshot
 //! acquire) are measured once and attributed to every request they
 //! covered, the per-key phases (cache lookup, kernel run, publish) are
-//! measured per key or per unit, and unattributed gaps (e.g. waiting
-//! for a sibling sub-batch) are left out — so batched stage sums are a
+//! measured per key, and unattributed gaps (e.g. the kernel calls of
+//! the batch's earlier leaders) are left out — so batched stage sums are a
 //! **lower bound** on the total (`Σ stages ≤ total`), never an
 //! overcount of any single wall-clock interval. For coalesced
 //! requests the kernel stage is the wait on the leader's computation.
@@ -70,8 +70,8 @@ pub enum Stage {
     /// Result-cache probe (and, for batches, the per-key dedup lookup).
     CacheLookup = 2,
     /// Kernel compute — for coalesced requests, the wait on the
-    /// leader's computation; for batch members, their unit's batched
-    /// kernel run.
+    /// leader's computation; for batch members, their key's own kernel
+    /// call.
     Kernel = 3,
     /// Publishing the result: cache insert, flight publish, response
     /// construction, counters.
@@ -123,11 +123,8 @@ impl Stage {
 pub enum Provenance {
     /// Per-request submission (`submit` / `query`).
     Single = 0,
-    /// Member of a batch job served inline by one worker.
+    /// Member of a batch job.
     Batch = 1,
-    /// Member of a batch whose leader computations were split into
-    /// sub-batches across the pool.
-    Split = 2,
 }
 
 impl Provenance {
@@ -136,14 +133,12 @@ impl Provenance {
         match self {
             Provenance::Single => "single",
             Provenance::Batch => "batch",
-            Provenance::Split => "split",
         }
     }
 
     fn from_u8(v: u8) -> Provenance {
         match v {
             1 => Provenance::Batch,
-            2 => Provenance::Split,
             _ => Provenance::Single,
         }
     }
@@ -547,21 +542,6 @@ impl Telemetry {
     /// after a slow warmup still captures its own spikes.
     pub fn reset_slow_window(&self) {
         self.ring.reset_window();
-    }
-
-    /// `(count, sum_us)` over every kernel-stage sample recorded so
-    /// far, across all algorithms. Two relaxed loads per algorithm —
-    /// cheap enough for the batch path to read per submission when
-    /// sizing sub-batches from the observed per-leader kernel cost.
-    pub fn kernel_cost_us(&self) -> (u64, u64) {
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for a in 0..N_ALGOS {
-            let h = &self.stage_hists[a][Stage::Kernel as usize];
-            count += h.count();
-            sum += h.sum_us();
-        }
-        (count, sum)
     }
 }
 
@@ -980,16 +960,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         stats.batched,
     );
     counter(
-        "scs_batch_splits_total",
-        "Batch jobs split across the worker pool.",
-        stats.splits,
-    );
-    counter(
-        "scs_sub_batches_total",
-        "Sub-batches carved out of split batch jobs.",
-        stats.sub_batches,
-    );
-    counter(
         "scs_cache_hits_total",
         "Result-cache hits.",
         stats.cache.hits,
@@ -1138,11 +1108,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "scs_shard_workers",
         "Worker threads owned by each engine shard.",
         &|r| r.workers as u64,
-    );
-    shard_gauge(
-        "scs_shard_min_sub_batch_effective",
-        "Effective sub-batch floor after kernel-cost feedback, by shard.",
-        &|r| r.min_sub_batch_effective as u64,
     );
 
     out.push_str(
@@ -1379,7 +1344,7 @@ fn parse_sample(line: &str) -> Result<(String, Vec<String>, f64), String> {
 // ─── Bench JSON (schema-versioned perf trajectory) ───────────────────
 
 /// Schema identifier stamped into every `BENCH_service.json`.
-pub const BENCH_SCHEMA: &str = "scs-bench-service/v1";
+pub const BENCH_SCHEMA: &str = "scs-bench-service/v2";
 
 /// Workload and run parameters recorded alongside the measured stats
 /// in `BENCH_service.json`, so a trajectory of artifacts is
@@ -1412,8 +1377,6 @@ pub struct BenchMeta<'a> {
     pub seed: u64,
     /// Zipf exponent of the key distribution (0 = uniform).
     pub zipf: f64,
-    /// Whether adaptive batch splitting was enabled.
-    pub split_batches: bool,
     /// Wall-clock seconds of the measured replay.
     pub wall_secs: f64,
 }
@@ -1509,7 +1472,7 @@ fn j_stats(stats: &ServiceStats) -> String {
          \"stages\":{},\"algorithms\":{{{}}},\
          \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"evictions\":{},\"invalidated\":{}}},\
          \"events\":{{\"installs\":{},\"stale_publishes\":{},\"epoch\":{}}},\
-         \"batching\":{{\"batches\":{},\"batched\":{},\"splits\":{},\"sub_batches\":{},\"coalesced\":{}}},\
+         \"batching\":{{\"batches\":{},\"batched\":{},\"coalesced\":{}}},\
          \"memory\":{{\"scratch_bytes\":{},\"arena_bytes\":{},\"allocs_avoided\":{},\"arena_recycled\":{}}},\
          \"slow_queries\":[{}]}}",
         stats.workers,
@@ -1533,8 +1496,6 @@ fn j_stats(stats: &ServiceStats) -> String {
         stats.epoch,
         stats.batches,
         stats.batched,
-        stats.splits,
-        stats.sub_batches,
         stats.coalesced,
         stats.scratch_bytes,
         stats.arena_bytes,
@@ -1557,8 +1518,7 @@ pub fn render_bench_json(
         "{{\"schema\":{},\"bench\":\"serve-bench\",\
          \"workload\":{{\"dataset\":{},\"threads\":{},\"shards\":{},\"queries\":{},\
          \"warmup\":{},\"clients\":{},\"batch_size\":{},\"alpha\":{},\"beta\":{},\
-         \"algo\":{},\"repeat_fraction\":{},\"seed\":{},\"zipf\":{},\
-         \"split_batches\":{}}},\
+         \"algo\":{},\"repeat_fraction\":{},\"seed\":{},\"zipf\":{}}},\
          \"wall_secs\":{},\"cumulative\":{},\"steady\":{}}}",
         j_escape(BENCH_SCHEMA),
         j_escape(meta.dataset),
@@ -1574,7 +1534,6 @@ pub fn render_bench_json(
         j_f64(meta.repeat_fraction),
         meta.seed,
         j_f64(meta.zipf),
-        meta.split_batches,
         j_f64(meta.wall_secs),
         j_stats(cumulative),
         j_stats(steady)
@@ -1951,10 +1910,7 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
             ][..],
         ),
         ("events", &["installs", "stale_publishes", "epoch"][..]),
-        (
-            "batching",
-            &["batches", "batched", "splits", "sub_batches", "coalesced"][..],
-        ),
+        ("batching", &["batches", "batched", "coalesced"][..]),
         (
             "memory",
             &[
@@ -2010,8 +1966,6 @@ mod tests {
             coalesced: 0,
             batches: 1,
             batched: 2,
-            splits: 0,
-            sub_batches: 0,
             cache: CacheStats {
                 hits: 1,
                 misses: 2,
@@ -2045,10 +1999,8 @@ mod tests {
                 coalesced: 0,
                 cache_hits: 1,
                 cache_misses: 2,
-                splits: 0,
                 p50_us: total.quantile_us(0.5),
                 p99_us: total.quantile_us(0.99),
-                min_sub_batch_effective: 8,
             }],
         }
     }
@@ -2340,7 +2292,6 @@ mod tests {
             repeat_fraction: 0.5,
             seed: 42,
             zipf: 0.0,
-            split_batches: true,
             wall_secs: 0.125,
         };
         let text = render_bench_json(&meta, &stats, &stats);

@@ -99,7 +99,6 @@ fn engine_under_load_reconciles_stages_with_totals() {
             workers: 4,
             cache_capacity: 64,
             cache_shards: 4,
-            min_sub_batch: 1,
             // Retain plenty so the ring holds single and batch traces.
             slow_ring_capacity: 64,
             ..ServiceConfig::default()
@@ -117,8 +116,7 @@ fn engine_under_load_reconciles_stages_with_totals() {
                     for i in 0..g.n_upper() {
                         engine.query(QueryRequest::new(g.upper(i), 2, 2, algo));
                     }
-                    // …and batches with in-batch duplicates (split and
-                    // unsplit paths, depending on idle workers).
+                    // …and batches with in-batch duplicates.
                     let mut reqs: Vec<QueryRequest> = (0..g.n_upper())
                         .map(|i| QueryRequest::new(g.upper(i), 1 + (round % 2), 2, algo))
                         .collect();
