@@ -124,7 +124,7 @@ fn transitive_no_alloc_violation_prints_the_full_call_chain() {
         rendered,
         vec![
             "serve.rs:18: [contract] `Vec::with_capacity` violates the `no-alloc` contract \
-             of `serve_one`; call chain: serve_one (serve.rs:5) → route (serve.rs:9) → \
+             of `serve_batch`; call chain: serve_batch (serve.rs:5) → route (serve.rs:9) → \
              gather (serve.rs:13) → emit (serve.rs:17); waive a justified site with \
              `// contract-ok: <reason>`"
                 .to_string()

@@ -3,11 +3,13 @@
 //!
 //! Life of a request:
 //!
-//! 1. [`QueryEngine::submit`] pushes a job onto the queue and returns a
-//!    [`ResponseHandle`]; [`QueryEngine::query`] is the blocking
-//!    convenience.
-//! 2. A worker dequeues, checks the sharded LRU cache, and on a hit
-//!    responds immediately (`cached = true`).
+//! 1. [`QueryEngine::submit`] enqueues a job of one request and returns
+//!    a [`ResponseHandle`]; [`QueryEngine::query`] is the blocking
+//!    convenience. [`QueryEngine::submit_batch`] enqueues many requests
+//!    as one job. Every job is served by the one serve function: a
+//!    per-request submission is a batch of one.
+//! 2. A worker dequeues, checks the sharded LRU cache once per unique
+//!    key, and answers every hit immediately (`cached = true`).
 //! 3. On a miss it joins the in-flight table. The first thread for a key
 //!    becomes the *leader* and computes the significant community on the
 //!    current index snapshot; threads that arrive while the leader runs
@@ -39,19 +41,19 @@
 //! * batch bookkeeping (slot grouping, leader/follower partitions)
 //!   lives in per-worker scratch, all capacity-retaining.
 //!
-//! Batches ([`QueryEngine::submit_batch`]) ride the same machinery with
-//! the per-request overheads paid once: one job carries the whole batch
-//! through the queue, the serving worker reads **one** index snapshot,
-//! looks every *unique* key up in the cache once, partitions the misses
-//! into leaders / followers / stale up front, and answers each leader
-//! in turn with [`scs::CommunitySearch::significant_community_arena`]
-//! on the worker's one reused workspace and arena. Every leader is
-//! published before the worker waits on any other flight, so two
-//! workers batching each other's keys cannot deadlock. Responses come
-//! back in submission order; duplicate keys inside a batch are
-//! computed once and the extra slots answered exactly as a serial
-//! resubmission would be, so [`ServiceStats`] cannot drift between
-//! submission modes.
+//! A job pays its per-job costs once, however many requests it
+//! carries: one queue round-trip, **one** index snapshot read per
+//! round, one cache lookup per *unique* key, misses partitioned into
+//! leaders / followers / stale up front, and each leader answered in
+//! turn with [`scs::CommunitySearch::significant_community_arena`] on
+//! the worker's one reused workspace and arena. A key whose snapshot an
+//! install outran rejoins on a re-read snapshot in a further round.
+//! Every leader is published before the worker waits on any other
+//! flight, so two workers serving each other's keys cannot deadlock.
+//! Responses come back in submission order; duplicate keys inside a
+//! batch are computed once and the extra slots answered exactly as a
+//! serial resubmission would be, so [`ServiceStats`] cannot drift
+//! between submission modes.
 //!
 //! # Sharding
 //!
@@ -92,9 +94,7 @@
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::stats::{AdmissionStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
-use crate::telemetry::{
-    Provenance, SlowQuery, Stage, StageRecorder, StageSet, Telemetry, TelemetrySnapshot,
-};
+use crate::telemetry::{Provenance, SlowQuery, Stage, StageSet, Telemetry, TelemetrySnapshot};
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
 use bigraph::arena::ResultArena;
 use bigraph::Vertex;
@@ -282,37 +282,47 @@ impl Drop for FlightGuard {
     }
 }
 
-/// The slice of batch context every leader-publishing site needs.
-#[derive(Clone, Copy)]
-struct BatchCtx {
-    epoch: u64,
-    t0: Instant,
-    /// Batch-level stage bases shared by every leader: the queue wait
-    /// and the snapshot-acquire window, µs.
-    queue_us: u64,
-    snapshot_us: u64,
+/// A job's stage stopwatch on the serving worker: checkpoints as µs
+/// offsets from the job's enqueue instant. Each [`Self::lap`] is the
+/// window since the previous checkpoint, so a job's laps telescope to
+/// exactly [`Self::at_us`] — which is how a job of one request tiles
+/// its `[enqueue, record]` interval with no gap or overlap, even when
+/// the worker is preempted mid-job.
+struct Laps {
+    enqueued: Instant,
+    at_us: u64,
 }
 
-/// A pooled one-shot reply slot: the worker `put`s exactly once (or
-/// `abandon`s on panic), the submitter `take`s exactly once. The
-/// **worker** returns the cell to the pool right after answering — the
-/// submitter's own `Arc` keeps it out of circulation until its `wait`
-/// completes (the pool only reissues refcount-1 entries), so by the
-/// time the submitter can submit again the cell is deterministically
-/// free. A cell whose submitter never waited keeps its stale value
-/// until reuse, which resets it.
-struct ReplyCell<T> {
-    state: Mutex<ReplyState<T>>,
+impl Laps {
+    /// Closes the current window at now and returns its length, µs.
+    fn lap(&mut self) -> u64 {
+        let now_us = self.enqueued.elapsed().as_micros() as u64;
+        let window = now_us.saturating_sub(self.at_us);
+        self.at_us = now_us;
+        window
+    }
+}
+
+/// A pooled one-shot reply slot carrying a job's response vector: the
+/// worker answers exactly once (or abandons it on panic), the submitter
+/// `take`s exactly once. The **worker** returns the cell to the pool
+/// right after answering — the submitter's own `Arc` keeps it out of
+/// circulation until its `wait` completes (the pool only reissues
+/// refcount-1 entries), so by the time the submitter can submit again
+/// the cell is deterministically free. A cell whose submitter never
+/// waited keeps its stale value until reuse, which resets it.
+struct ReplyCell {
+    state: Mutex<ReplyState>,
     cv: Condvar,
 }
 
-enum ReplyState<T> {
+enum ReplyState {
     Pending,
-    Done(T),
+    Done(Vec<QueryResponse>),
     Abandoned,
 }
 
-impl<T> ReplyCell<T> {
+impl ReplyCell {
     fn new() -> Self {
         ReplyCell {
             state: Mutex::new(ReplyState::Pending),
@@ -322,7 +332,7 @@ impl<T> ReplyCell<T> {
 
     /// Blocks until the worker answers (`None` if the worker panicked
     /// and abandoned the cell).
-    fn take(&self) -> Option<T> {
+    fn take(&self) -> Option<Vec<QueryResponse>> {
         let mut state = self.state.lock().unwrap();
         loop {
             match std::mem::replace(&mut *state, ReplyState::Pending) {
@@ -343,7 +353,11 @@ impl<T> ReplyCell<T> {
 /// worker's reference gone, so after the submitter drops its handle the
 /// cell is free. Without this, the worker's "pool it" step could lag
 /// behind a fast submitter and force a fresh allocation.
-fn respond_and_pool<T>(pool: &ArcPool<ReplyCell<T>>, cell: Arc<ReplyCell<T>>, value: Option<T>) {
+fn respond_and_pool(
+    pool: &ArcPool<ReplyCell>,
+    cell: Arc<ReplyCell>,
+    value: Option<Vec<QueryResponse>>,
+) {
     let mut items = pool.items.lock().unwrap();
     {
         let mut state = cell.state.lock().unwrap();
@@ -526,8 +540,7 @@ struct Inner {
     batches: AtomicU64,
     batched: AtomicU64,
     scratch: Vec<ScratchSlot>,
-    reply_pool: ArcPool<ReplyCell<QueryResponse>>,
-    batch_reply_pool: ArcPool<ReplyCell<Vec<QueryResponse>>>,
+    reply_cells: ArcPool<ReplyCell>,
     flight_pool: ArcPool<Flight>,
     req_pool: VecPool<QueryRequest>,
     resp_pool: VecPool<QueryResponse>,
@@ -640,8 +653,7 @@ impl Inner {
     /// An unservable request (vertex outside the installed graph, zero
     /// constraint) gets the empty community rather than panicking a
     /// worker: the graph can shrink across installs, so clients cannot
-    /// validate upfront. Shared by the single and batch paths so the
-    /// two can never drift apart.
+    /// validate upfront.
     fn servable(req: &QueryRequest, search: &CommunitySearch) -> bool {
         req.q.index() < search.graph().n_vertices() && req.alpha >= 1 && req.beta >= 1
     }
@@ -660,6 +672,38 @@ impl Inner {
             self.telemetry.note_stale_publish();
             false
         }
+    }
+
+    /// Enqueues `reqs` as one job and returns its reply cell, taken from
+    /// (and returned by the worker to) the shard's pool, so a warm
+    /// submit allocates nothing.
+    fn enqueue(&self, reqs: Vec<QueryRequest>) -> Arc<ReplyCell> {
+        let reply = match self.reply_cells.take_free() {
+            // A reissued cell may hold the stale value of a submitter
+            // that never waited; reset it (refcount 1 ⇒ unobservable).
+            Some(cell) => {
+                *cell.state.lock().unwrap() = ReplyState::Pending;
+                cell
+            }
+            None => Arc::new(ReplyCell::new()),
+        };
+        let job = Job {
+            reqs,
+            reply: reply.clone(),
+            enqueued: Instant::now(),
+        };
+        assert!(self.queue.push(job), "engine already shut down");
+        reply
+    }
+
+    /// [`Self::enqueue`] for a [`QueryEngine::submit_batch`] job, which
+    /// counts in the `batches` / `batched` statistics; a per-request
+    /// submission is a job of one but not a batch.
+    fn enqueue_batch(&self, reqs: Vec<QueryRequest>) -> Arc<ReplyCell> {
+        // ordering: Relaxed — independent statistics; pair with nothing.
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+        self.enqueue(reqs)
     }
 }
 
@@ -692,12 +736,15 @@ struct BatchScratch {
     key_start: Vec<u32>,
     key_cursor: Vec<u32>,
     key_slots: Vec<u32>,
-    /// Pass-1 cache-lookup time per unique key, µs (stage attribution).
-    key_cache_us: Vec<u64>,
+    /// Stage windows charged to each unique key; every slot of the key
+    /// is recorded with them, plus the job-wide queue-wait and reply
+    /// windows, once the job is answered.
+    key_stages: Vec<StageSet>,
     first: HashMap<QueryRequest, u32>,
     miss_keys: Vec<u32>,
     leaders: Vec<(FlightGuard, u32)>,
     followers: Vec<(Arc<Flight>, u32)>,
+    /// Keys to rejoin on the next snapshot round.
     stale_keys: Vec<u32>,
 }
 
@@ -705,131 +752,6 @@ struct BatchScratch {
 struct WorkerState {
     kernel: KernelState,
     batch: BatchScratch,
-    /// Per-request stage stopwatch — plain scalars, reused forever, so
-    /// stage attribution costs clock reads and nothing else.
-    rec: StageRecorder,
-}
-
-/// Serves one request with full per-request accounting: one cache
-/// lookup, then — on a miss — the flight protocol of [`serve_miss`].
-///
-/// `rec` must have been started by the caller (who owns the enqueue
-/// timestamp); this function marks the cache-lookup stage and
-/// [`serve_miss`] the rest. The caller records the trace after the
-/// reply, so a panicking request is never recorded — mirroring the
-/// `completed` counter.
-// scs-contract: no-alloc — the warm leader path: pooled flights, arena
-// kernels, refcounted responses; proven transitively by `scs analyze`.
-fn serve_one(
-    inner: &Arc<Inner>,
-    req: QueryRequest,
-    k: &mut KernelState,
-    rec: &mut StageRecorder,
-) -> QueryResponse {
-    let t0 = Instant::now();
-    let hit = inner.cache.get(&req);
-    rec.mark(Stage::CacheLookup);
-    if let Some(hit) = hit {
-        let resp = QueryResponse {
-            cached: true,
-            coalesced: false,
-            service_us: t0.elapsed().as_micros() as u64,
-            ..hit
-        };
-        inner.finish(&resp);
-        return resp;
-    }
-    serve_miss(inner, req, k, t0, rec)
-}
-
-/// The miss path of [`serve_one`]: joins (or opens) the flight for `req`
-/// and computes or waits. Factored out of [`serve_one`] so the batch path
-/// can resolve a stale-snapshot key without a second cache lookup being
-/// counted — its pass-1 lookup already recorded the miss, exactly the
-/// one lookup a per-request submission performs.
-fn serve_miss(
-    inner: &Arc<Inner>,
-    req: QueryRequest,
-    k: &mut KernelState,
-    t0: Instant,
-    rec: &mut StageRecorder,
-) -> QueryResponse {
-    // Epochs are monotonic, so the retry loop terminates: it only
-    // loops when an install landed between our snapshot and the
-    // join, and each retry re-reads the newer snapshot.
-    let (search, epoch, role) = loop {
-        let (search, epoch) = inner.snapshot();
-        match inner.join_flight(req, epoch) {
-            Role::StaleSnapshot => continue,
-            role => break (search, epoch, role),
-        }
-    };
-    rec.mark(Stage::Snapshot);
-    match role {
-        Role::StaleSnapshot => unreachable!("retried above"),
-        Role::Leader(flight) => {
-            let mut guard = FlightGuard {
-                inner: inner.clone(), // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-                key: req,
-                flight,
-                published: false,
-            };
-            let summary = if Inner::servable(&req, &search) {
-                // The worker's workspace provides every scratch buffer
-                // and its arena the result storage; nothing is
-                // allocated once both are warm.
-                let edges = search.significant_community_arena(
-                    req.q,
-                    req.alpha as usize,
-                    req.beta as usize,
-                    req.algo,
-                    &mut k.ws,
-                    &mut k.arena,
-                );
-                CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws)
-            } else {
-                CommunitySummary::empty()
-            };
-            rec.mark(Stage::Kernel);
-            let resp = QueryResponse {
-                request: req,
-                summary,
-                cached: false,
-                coalesced: false,
-                epoch,
-                service_us: t0.elapsed().as_micros() as u64,
-            };
-            inner.cache_if_current(req, &resp, epoch);
-            // Publish, then let the guard's Drop clear the table
-            // entry: a thread that found this flight always gets an
-            // answer; threads arriving after the removal start a
-            // fresh flight (and typically hit the cache first).
-            guard.publish(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            drop(guard);
-            inner.finish(&resp);
-            rec.mark(Stage::Publish);
-            resp
-        }
-        Role::Follower(flight) => {
-            let shared = flight.wait().unwrap_or_else(|| {
-                panic!("in-flight leader for {req:?} panicked before publishing")
-            });
-            // A coalesced request's "kernel" is the wait on the
-            // leader's computation — that is where its time went.
-            rec.mark(Stage::Kernel);
-            let resp = QueryResponse {
-                cached: false,
-                coalesced: true,
-                service_us: t0.elapsed().as_micros() as u64,
-                ..shared
-            };
-            // ordering: Relaxed — independent statistic; pairs with nothing.
-            inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            inner.finish(&resp);
-            rec.mark(Stage::Publish);
-            resp
-        }
-    }
 }
 
 /// Builds and publishes one leader's response (cache + flight), then
@@ -846,59 +768,40 @@ fn serve_miss(
 /// deliberately so — a re-probe that missed would join a flight and
 /// could wait on another worker before this batch's remaining leaders
 /// are published).
-#[allow(clippy::too_many_arguments)] // internal plumbing; the args are the trace
 fn publish_unit(
     inner: &Arc<Inner>,
-    ctx: BatchCtx,
+    epoch: u64,
+    t0: Instant,
     mut guard: FlightGuard,
     slots: &[u32],
     summary: CommunitySummary,
-    kernel_us: u64,
-    cache_us: u64,
     out: &mut [Option<QueryResponse>],
 ) {
     let us = |t0: &Instant| t0.elapsed().as_micros() as u64;
-    let pt0 = Instant::now();
     let req = guard.key;
     let resp = QueryResponse {
         request: req,
         summary,
         cached: false,
         coalesced: false,
-        epoch: ctx.epoch,
-        service_us: us(&ctx.t0),
+        epoch,
+        service_us: us(&t0),
     };
-    let resident = inner.cache_if_current(req, &resp, ctx.epoch);
+    let resident = inner.cache_if_current(req, &resp, epoch);
+    // Publish, then let the guard's Drop clear the table entry: a
+    // thread that found this flight always gets an answer; threads
+    // arriving after the removal start a fresh flight (and typically
+    // hit the cache first).
     guard.publish(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
     drop(guard);
     inner.finish(&resp);
-    // Stage attribution for every slot this leader answers: the batch's
-    // queue wait and snapshot window, this key's pass-1 lookup, this
-    // leader's own kernel call and its publish window — all disjoint
-    // wall-clock sub-intervals, so the stage sum never exceeds the
-    // end-to-end total.
-    let mut stages = StageSet::new();
-    stages
-        .set(Stage::QueueWait, ctx.queue_us)
-        .set(Stage::Snapshot, ctx.snapshot_us)
-        .set(Stage::CacheLookup, cache_us)
-        .set(Stage::Kernel, kernel_us)
-        .set(Stage::Publish, us(&pt0));
-    inner.telemetry.record(&stages.trace(
-        &req,
-        ctx.epoch,
-        false,
-        false,
-        Provenance::Batch,
-        ctx.queue_us + us(&ctx.t0),
-    ));
     out[slots[0] as usize] = Some(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
     for &slot in &slots[1..] {
         let r = if resident {
             inner.cache.record_extra_hit();
             QueryResponse {
                 cached: true,
-                service_us: us(&ctx.t0),
+                service_us: us(&t0),
                 ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
             }
         } else {
@@ -907,28 +810,30 @@ fn publish_unit(
             inner.coalesced.fetch_add(1, Ordering::Relaxed);
             QueryResponse {
                 coalesced: true,
-                service_us: us(&ctx.t0),
+                service_us: us(&t0),
                 ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
             }
         };
         inner.finish(&r);
-        inner.telemetry.record(&stages.trace(
-            &req,
-            ctx.epoch,
-            r.cached,
-            r.coalesced,
-            Provenance::Batch,
-            ctx.queue_us + r.service_us,
-        ));
         out[slot as usize] = Some(r);
     }
 }
 
-/// Serves a whole batch, amortizing the per-request costs: one cache
-/// lookup per *unique* key, one index-snapshot read, one kernel call
-/// per leader on this worker's workspace, and one response vector
-/// (pooled) in submission order.
-// scs-contract: no-alloc — the warm batch path reuses pooled buffers
+/// Serves one job — a per-request submission is a job of one — paying
+/// the per-job costs once: one cache lookup per *unique* key, one
+/// index-snapshot read per round, one kernel call per leader on this
+/// worker's workspace, and one response vector (pooled) in submission
+/// order.
+///
+/// Stage attribution: every window is a lap of the job's [`Laps`],
+/// charged to the keys it served. A job of one request is charged every
+/// lap, so its stages tile `[enqueue, record]`; a member of a larger
+/// batch is charged only its own windows, so `Σ stages ≤ total`. The
+/// traces are recorded after the response vector is assembled and
+/// before the worker signals the reply cell, so a submitter holding its
+/// answer always finds its request in the stats; a panicking job
+/// records nothing, like the `completed` counter.
+// scs-contract: no-alloc — the warm serving path reuses pooled buffers
 // end to end; proven transitively by `scs analyze`.
 fn serve_batch(
     inner: &Arc<Inner>,
@@ -939,20 +844,14 @@ fn serve_batch(
     let WorkerState {
         kernel: k,
         batch: b,
-        rec,
     } = state;
+    let mut laps = Laps { enqueued, at_us: 0 };
+    // The whole job waited in the queue together.
+    let queue_us = laps.lap();
     let t0 = Instant::now();
-    // The whole batch waited in the queue together; every one of its
-    // requests is attributed the same queue-wait stage.
-    let queue_us = t0.saturating_duration_since(enqueued).as_micros() as u64;
-    // ordering: Relaxed — independent statistics; pair with nothing.
-    inner.batches.fetch_add(1, Ordering::Relaxed);
-    inner
-        .batched
-        .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     let us = |t0: &Instant| t0.elapsed().as_micros() as u64;
 
-    // Reset every buffer a previous batch could have left populated by
+    // Reset every buffer a previous job could have left populated by
     // panicking mid-serve (the worker survives panics): leftover
     // follower/leader entries would pin pooled flights. Clears are
     // O(leftovers) and free in the steady state.
@@ -997,6 +896,8 @@ fn serve_batch(
         b.key_slots[*cursor as usize] = slot as u32;
         *cursor += 1;
     }
+    b.key_stages.clear();
+    b.key_stages.resize(nk, StageSet::new()); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
 
     b.out.clear();
     b.out.resize(reqs.len(), None); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
@@ -1004,21 +905,14 @@ fn serve_batch(
     // Pass 1: one physical cache lookup per unique key, with duplicate
     // slots of a hit counted as the hits they are — per-request
     // submission performs one lookup per request, and the stats must
-    // not depend on how requests were submitted.
+    // not depend on how requests were submitted. The first key's lookup
+    // window also covers the grouping above; a hit's covers answering
+    // its slots.
     b.miss_keys.clear();
-    b.key_cache_us.clear();
     for kx in 0..nk {
         let req = b.keys[kx];
-        let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
-        let lt0 = Instant::now();
-        let hit = inner.cache.get(&req);
-        let cache_us = lt0.elapsed().as_micros() as u64;
-        b.key_cache_us.push(cache_us); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-        if let Some(hit) = hit {
-            let mut stages = StageSet::new();
-            stages
-                .set(Stage::QueueWait, queue_us)
-                .set(Stage::CacheLookup, cache_us);
+        if let Some(hit) = inner.cache.get(&req) {
+            let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
             for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
                 if j > 0 {
                     inner.cache.record_extra_hit();
@@ -1030,29 +924,24 @@ fn serve_batch(
                     ..hit.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
                 };
                 inner.finish(&resp);
-                inner.telemetry.record(&stages.trace(
-                    &req,
-                    resp.epoch,
-                    true,
-                    false,
-                    Provenance::Batch,
-                    queue_us + resp.service_us,
-                ));
                 b.out[slot as usize] = Some(resp);
             }
         } else {
             b.miss_keys.push(kx as u32); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
         }
+        b.key_stages[kx].add(Stage::CacheLookup, laps.lap());
     }
 
-    if !b.miss_keys.is_empty() {
-        // One snapshot read for every miss in the batch; the
-        // snapshot-acquire stage covers it together with the flight
-        // joins, matching the per-request path's attribution.
-        let st0 = Instant::now();
+    // Snapshot rounds. The first joins every missed key on one snapshot
+    // read; a key whose resident flight is newer than the snapshot (an
+    // install raced in) rejoins on the next round's re-read snapshot.
+    // Epochs are monotonic, so the rounds end. A rejoining key is not
+    // looked up in the cache again: pass 1 already counted its miss.
+    // Every round's leaders are published before the next round, and so
+    // before any follower wait below — two workers serving each other's
+    // keys can never deadlock.
+    while !b.miss_keys.is_empty() {
         let (search, epoch) = inner.snapshot();
-        b.leaders.clear();
-        b.followers.clear();
         b.stale_keys.clear();
         for &kx in &b.miss_keys {
             let req = b.keys[kx as usize];
@@ -1068,29 +957,26 @@ fn serve_batch(
                     kx,
                 )),
                 Role::Follower(flight) => b.followers.push((flight, kx)), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                // An install raced between our snapshot and this
-                // join; resolved below via the per-request miss path.
                 Role::StaleSnapshot => b.stale_keys.push(kx), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
             }
         }
-        let snapshot_us = st0.elapsed().as_micros() as u64;
+        let snapshot_us = laps.lap();
+        for &kx in &b.miss_keys {
+            b.key_stages[kx as usize].add(Stage::Snapshot, snapshot_us);
+        }
 
-        let ctx = BatchCtx {
-            epoch,
-            t0,
-            queue_us,
-            snapshot_us,
-        };
         // Answer the leaders in order. A panic in a kernel unwinds
         // through `Drain`, which drops the remaining guards and so
         // poisons every unpublished flight.
         for (guard, kx) in b.leaders.drain(..) {
             let kx = kx as usize;
             let req = guard.key;
-            // An unservable key runs no kernel: its 0µs kernel stage
-            // still marks the path it took.
-            let (summary, kernel_us) = if Inner::servable(&req, &search) {
-                let kt0 = Instant::now();
+            // An unservable key runs no kernel; its kernel stage still
+            // marks the path it took.
+            let summary = if Inner::servable(&req, &search) {
+                // The worker's workspace provides every scratch buffer
+                // and its arena the result storage; nothing is
+                // allocated once both are warm.
                 let edges = search.significant_community_arena(
                     req.q,
                     req.alpha as usize,
@@ -1099,104 +985,56 @@ fn serve_batch(
                     &mut k.ws,
                     &mut k.arena,
                 );
-                let kernel_us = us(&kt0);
-                let summary = CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws);
-                (summary, kernel_us)
+                CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws)
             } else {
-                (CommunitySummary::empty(), 0)
+                CommunitySummary::empty()
             };
+            b.key_stages[kx].add(Stage::Kernel, laps.lap());
             let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
             publish_unit(
                 inner,
-                ctx,
+                epoch,
+                t0,
                 guard,
                 &b.key_slots[s0..s1],
                 summary,
-                kernel_us,
-                b.key_cache_us[kx],
                 &mut b.out,
             );
+            b.key_stages[kx].add(Stage::Publish, laps.lap());
         }
+        std::mem::swap(&mut b.miss_keys, &mut b.stale_keys);
+    }
 
-        // Every leader above is published before we wait on anyone
-        // else's flight (the stale retries and followers below), so
-        // two workers batching each other's keys can never deadlock
-        // on one another.
-        // Rare install race: resolve each slot through the per-request
-        // path — the first without a second cache lookup (pass 1
-        // already counted this key's miss), duplicates with their own
-        // lookup, exactly as if resubmitted.
-        for i in 0..b.stale_keys.len() {
-            let kx = b.stale_keys[i] as usize;
-            let req = b.keys[kx];
-            let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
-            for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
-                // The per-request path records through the worker's
-                // stage stopwatch; the batch's queue wait is its base
-                // and the trace carries batch provenance.
-                rec.start_with_queue_us(queue_us);
-                let resp = if j == 0 {
-                    serve_miss(inner, req, k, t0, rec)
-                } else {
-                    serve_one(inner, req, k, rec)
-                };
-                inner.telemetry.record(&rec.trace(
-                    &req,
-                    resp.epoch,
-                    resp.cached,
-                    resp.coalesced,
-                    Provenance::Batch,
-                ));
-                b.out[slot as usize] = Some(resp);
+    for (flight, kx) in b.followers.drain(..) {
+        let kx = kx as usize;
+        let req = b.keys[kx];
+        let shared = flight
+            .wait()
+            .unwrap_or_else(|| panic!("in-flight leader for {req:?} panicked before publishing"));
+        // A coalesced request's kernel stage is the wait on the leader's
+        // computation — that is where its time went.
+        b.key_stages[kx].add(Stage::Kernel, laps.lap());
+        let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
+        for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
+            if j > 0 {
+                // Pass 1 counted one miss for this key; its duplicates
+                // waited on the same flight and are accounted like the
+                // extra followers they are.
+                inner.cache.record_extra_miss();
             }
+            let resp = QueryResponse {
+                cached: false,
+                coalesced: true,
+                service_us: us(&t0),
+                ..shared.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
+            };
+            // ordering: Relaxed — independent statistic; pairs with
+            // nothing.
+            inner.coalesced.fetch_add(1, Ordering::Relaxed);
+            inner.finish(&resp);
+            b.out[slot as usize] = Some(resp);
         }
-
-        for i in 0..b.followers.len() {
-            let (flight, kx) = (b.followers[i].0.clone(), b.followers[i].1 as usize); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            let req = b.keys[kx];
-            let wt0 = Instant::now();
-            let shared = flight.wait().unwrap_or_else(|| {
-                panic!("in-flight leader for {req:?} panicked before publishing")
-            });
-            // As on the per-request path, a coalesced request's kernel
-            // stage is the wait on the leader's computation.
-            let kernel_us = wt0.elapsed().as_micros() as u64;
-            let mut stages = StageSet::new();
-            stages
-                .set(Stage::QueueWait, queue_us)
-                .set(Stage::Snapshot, snapshot_us)
-                .set(Stage::CacheLookup, b.key_cache_us[kx])
-                .set(Stage::Kernel, kernel_us);
-            let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
-            for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
-                if j > 0 {
-                    // Pass 1 counted one miss for this key; its
-                    // duplicates waited on the same flight and are
-                    // accounted like the extra followers they are.
-                    inner.cache.record_extra_miss();
-                }
-                let resp = QueryResponse {
-                    cached: false,
-                    coalesced: true,
-                    service_us: us(&t0),
-                    ..shared.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-                };
-                // ordering: Relaxed — independent statistic; pairs with
-                // nothing.
-                inner.coalesced.fetch_add(1, Ordering::Relaxed);
-                inner.finish(&resp);
-                inner.telemetry.record(&stages.trace(
-                    &req,
-                    resp.epoch,
-                    false,
-                    true,
-                    Provenance::Batch,
-                    queue_us + resp.service_us,
-                ));
-                b.out[slot as usize] = Some(resp);
-            }
-        }
-        b.followers.clear();
+        b.key_stages[kx].add(Stage::Publish, laps.lap());
     }
 
     let mut responses = inner.resp_pool.take();
@@ -1206,27 +1044,50 @@ fn serve_batch(
             .drain(..)
             .map(|r| r.expect("every batch slot answered")),
     );
+    // The reply stage is this assembly window; the reply-cell hand-off
+    // after the records below stays outside every trace.
+    let reply_us = laps.lap();
+    let provenance = if reqs.len() == 1 {
+        Provenance::Single
+    } else {
+        Provenance::Batch
+    };
+    for (resp, &kx) in responses.iter().zip(&b.key_of_slot) {
+        // Every request is charged the job-wide windows.
+        let mut stages = b.key_stages[kx as usize];
+        stages
+            .add(Stage::QueueWait, queue_us)
+            .add(Stage::Reply, reply_us);
+        inner.telemetry.record(&stages.trace(
+            &resp.request,
+            resp.epoch,
+            resp.cached,
+            resp.coalesced,
+            provenance,
+            laps.at_us,
+        ));
+    }
     responses
 }
 
-enum Job {
-    /// One request, one response; the `Instant` is the enqueue time
-    /// (the queue-wait stage is measured from it at dequeue).
-    Single(QueryRequest, Arc<ReplyCell<QueryResponse>>, Instant),
-    /// N requests served by one worker with amortized snapshot, cache
-    /// and workspace handling; answered as one vector in request order.
-    /// The request vector is pooled and returned after serving. The
-    /// `Instant` is the enqueue time, as in [`Job::Single`].
-    Batch(
-        Vec<QueryRequest>,
-        Arc<ReplyCell<Vec<QueryResponse>>>,
-        Instant,
-    ),
+/// One queued unit of work: the requests to serve in submission order
+/// (a per-request submission is a job of one), the reply cell that
+/// receives their response vector, and the enqueue time the queue-wait
+/// stage is measured from. The request vector is pooled and returned
+/// after serving.
+struct Job {
+    reqs: Vec<QueryRequest>,
+    reply: Arc<ReplyCell>,
+    enqueued: Instant,
 }
 
-/// A pending response; produced by [`QueryEngine::submit`].
+/// A pending response; produced by [`QueryEngine::submit`]. The
+/// request travels as a job of one, so the engine answers a pooled
+/// one-response vector; `wait` moves the response out and returns the
+/// vector to its shard's pool.
 pub struct ResponseHandle {
-    cell: Arc<ReplyCell<QueryResponse>>,
+    cell: Arc<ReplyCell>,
+    inner: Arc<Inner>,
 }
 
 impl ResponseHandle {
@@ -1236,9 +1097,13 @@ impl ResponseHandle {
     /// Panics if the query panicked inside the engine or the engine
     /// shut down before answering.
     pub fn wait(self) -> QueryResponse {
-        self.cell
+        let mut answers = self
+            .cell
             .take()
-            .expect("query panicked in the engine or engine shut down before responding")
+            .expect("query panicked in the engine or engine shut down before responding");
+        let resp = answers.pop().expect("a job of one has one answer");
+        self.inner.resp_pool.put(answers);
+        resp
     }
 }
 
@@ -1256,7 +1121,7 @@ enum BatchParts {
     /// shard configured): the answer vector passes through unchanged,
     /// so this path stays allocation-free for warm callers.
     Single {
-        cell: Arc<ReplyCell<Vec<QueryResponse>>>,
+        cell: Arc<ReplyCell>,
         inner: Arc<Inner>,
     },
     /// The batch was partitioned across shards: one sub-batch job per
@@ -1267,7 +1132,7 @@ enum BatchParts {
     Fanout {
         /// `(shard index, pending reply)` per participating shard, in
         /// shard order.
-        parts: Vec<(u32, Arc<ReplyCell<Vec<QueryResponse>>>)>,
+        parts: Vec<(u32, Arc<ReplyCell>)>,
         /// Slot → shard route of the original submission order.
         route: Vec<u32>,
         core: Arc<EngineCore>,
@@ -1559,8 +1424,7 @@ impl ShardedEngine {
                 batches: AtomicU64::new(0),
                 batched: AtomicU64::new(0),
                 scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
-                reply_pool: ArcPool::new(),
-                batch_reply_pool: ArcPool::new(),
+                reply_cells: ArcPool::new(),
                 flight_pool: ArcPool::new(),
                 req_pool: VecPool::new(),
                 resp_pool: VecPool::new(),
@@ -1585,7 +1449,6 @@ impl ShardedEngine {
                             let mut state = WorkerState {
                                 kernel: KernelState::new(arena_slab_edges),
                                 batch: BatchScratch::default(),
-                                rec: StageRecorder::new(),
                             };
                             while let Some(job) = inner.queue.pop() {
                                 // Backstop: a panic in query code must not
@@ -1595,75 +1458,32 @@ impl ShardedEngine {
                                 // submitter's wait() fail loudly. A submitter
                                 // that dropped its handle just doesn't
                                 // collect the result.
-                                //
+                                let resp =
+                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                        serve_batch(&inner, &job.reqs, &mut state, job.enqueued)
+                                    }));
                                 // Scratch accounting is published *before*
                                 // the reply: a submitter that reads stats()
                                 // the moment its blocking query returns must
                                 // see this worker's workspace and arena.
-                                let publish_scratch = |k: &KernelState| {
-                                    let slot = &inner.scratch[i];
-                                    // ordering: Relaxed — gauge stores; the
-                                    // reply-cell mutex handoff that follows
-                                    // publishes them to the submitter.
-                                    slot.bytes.store(k.ws.heap_bytes(), Ordering::Relaxed);
-                                    slot.arena_bytes
-                                        .store(k.arena.resident_bytes(), Ordering::Relaxed);
-                                    slot.allocs_avoided
-                                        // ordering: Relaxed — as above.
-                                        .store(k.ws.allocations_avoided(), Ordering::Relaxed);
-                                    slot.arena_recycled
-                                        // ordering: Relaxed — as above.
-                                        .store(k.arena.stats().recycled, Ordering::Relaxed);
-                                };
-                                match job {
-                                    Job::Single(req, reply, enqueued) => {
-                                        state.rec.start(enqueued);
-                                        let resp = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                serve_one(
-                                                    &inner,
-                                                    req,
-                                                    &mut state.kernel,
-                                                    &mut state.rec,
-                                                )
-                                            }),
-                                        );
-                                        publish_scratch(&state.kernel);
-                                        // Trace metadata before the response
-                                        // moves into the reply cell; the
-                                        // record itself happens after the
-                                        // reply so the reply stage is real,
-                                        // and not at all on a panic (the
-                                        // completed counter skips it too).
-                                        let meta = resp
-                                            .as_ref()
-                                            .ok()
-                                            .map(|r| (r.epoch, r.cached, r.coalesced));
-                                        // Answer and pool the cell in one
-                                        // step; the submitter's handle keeps
-                                        // it unissuable until wait() is done.
-                                        respond_and_pool(&inner.reply_pool, reply, resp.ok());
-                                        if let Some((epoch, cached, coalesced)) = meta {
-                                            state.rec.mark(Stage::Reply);
-                                            inner.telemetry.record(&state.rec.trace(
-                                                &req,
-                                                epoch,
-                                                cached,
-                                                coalesced,
-                                                Provenance::Single,
-                                            ));
-                                        }
-                                    }
-                                    Job::Batch(reqs, reply, enqueued) => {
-                                        let resp =
-                                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                                || serve_batch(&inner, &reqs, &mut state, enqueued),
-                                            ));
-                                        publish_scratch(&state.kernel);
-                                        inner.req_pool.put(reqs);
-                                        respond_and_pool(&inner.batch_reply_pool, reply, resp.ok());
-                                    }
-                                }
+                                let (k, slot) = (&state.kernel, &inner.scratch[i]);
+                                // ordering: Relaxed — gauge stores; the
+                                // reply-cell mutex handoff that follows
+                                // publishes them to the submitter.
+                                slot.bytes.store(k.ws.heap_bytes(), Ordering::Relaxed);
+                                slot.arena_bytes
+                                    .store(k.arena.resident_bytes(), Ordering::Relaxed);
+                                slot.allocs_avoided
+                                    // ordering: Relaxed — as above.
+                                    .store(k.ws.allocations_avoided(), Ordering::Relaxed);
+                                slot.arena_recycled
+                                    // ordering: Relaxed — as above.
+                                    .store(k.arena.stats().recycled, Ordering::Relaxed);
+                                inner.req_pool.put(job.reqs);
+                                // Answer and pool the cell in one step; the
+                                // submitter's handle keeps it unissuable
+                                // until wait() is done.
+                                respond_and_pool(&inner.reply_cells, job.reply, resp.ok());
                             }
                         })
                         .expect("spawn worker thread"),
@@ -1687,28 +1507,19 @@ impl ShardedEngine {
         &self.core.shards[route_of(vertex, self.core.shards.len())]
     }
 
-    /// Enqueues a request on the shard its query vertex routes to; the
-    /// returned handle yields the response. The reply slot comes from
-    /// (and returns to) the shard's pool, so a warm submit+wait
-    /// round-trip allocates nothing.
+    /// Enqueues a request, as a job of one, on the shard its query
+    /// vertex routes to; the returned handle yields the response. The
+    /// request and response vectors and the reply slot come from (and
+    /// return to) the shard's pools, so a warm submit+wait round-trip
+    /// allocates nothing.
     pub fn submit(&self, req: QueryRequest) -> ResponseHandle {
         let inner = self.shard_for(req.q);
-        let cell = match inner.reply_pool.take_free() {
-            // A reissued cell may hold the stale value of a submitter
-            // that never waited; reset it (refcount 1 ⇒ unobservable).
-            Some(cell) => {
-                *cell.state.lock().unwrap() = ReplyState::Pending;
-                cell
-            }
-            None => Arc::new(ReplyCell::new()),
-        };
-        assert!(
-            inner
-                .queue
-                .push(Job::Single(req, cell.clone(), Instant::now())),
-            "engine already shut down"
-        );
-        ResponseHandle { cell }
+        let mut reqs = inner.req_pool.take();
+        reqs.push(req);
+        ResponseHandle {
+            cell: inner.enqueue(reqs),
+            inner: inner.clone(),
+        }
     }
 
     /// Enqueues a whole batch as **one** job: one queue round-trip, one
@@ -1733,28 +1544,14 @@ impl ShardedEngine {
     /// stay submission-mode-invariant because routing is a pure
     /// function of the key.
     pub fn submit_batch(&self, reqs: &[QueryRequest]) -> BatchHandle {
-        let take_cell = |inner: &Inner| match inner.batch_reply_pool.take_free() {
-            Some(cell) => {
-                *cell.state.lock().unwrap() = ReplyState::Pending;
-                cell
-            }
-            None => Arc::new(ReplyCell::new()),
-        };
         let shards = &self.core.shards;
         if shards.len() == 1 {
             let inner = &shards[0];
             let mut owned = inner.req_pool.take();
             owned.extend_from_slice(reqs);
-            let cell = take_cell(inner);
-            assert!(
-                inner
-                    .queue
-                    .push(Job::Batch(owned, cell.clone(), Instant::now())),
-                "engine already shut down"
-            );
             return BatchHandle {
                 parts: BatchParts::Single {
-                    cell,
+                    cell: inner.enqueue_batch(owned),
                     inner: inner.clone(),
                 },
             };
@@ -1776,14 +1573,7 @@ impl ShardedEngine {
                 inner.req_pool.put(sub);
                 continue;
             }
-            let cell = take_cell(inner);
-            assert!(
-                inner
-                    .queue
-                    .push(Job::Batch(sub, cell.clone(), Instant::now())),
-                "engine already shut down"
-            );
-            parts.push((s as u32, cell));
+            parts.push((s as u32, inner.enqueue_batch(sub)));
         }
         BatchHandle {
             parts: BatchParts::Fanout {
@@ -2288,11 +2078,9 @@ mod tests {
         assert_eq!(b.cache.hits + b.cache.misses, b.completed);
     }
 
-    #[test]
-    fn batch_charges_each_leader_its_own_kernel_time() {
-        // A 150×150 biclique beside a 2×2 one: one same-algorithm batch
-        // with a leader in each. Each leader's kernel stage must be its
-        // own kernel call, not the whole batch's kernel window.
+    /// A 150×150 biclique (a kernel of tens of milliseconds) beside a
+    /// 2×2 one; returns the graph and one upper vertex of each.
+    fn large_and_tiny_bicliques() -> (bigraph::BipartiteGraph, Vertex, Vertex) {
         let mut gb = bigraph::GraphBuilder::new();
         for u in 0..150 {
             for l in 0..150 {
@@ -2306,6 +2094,15 @@ mod tests {
         }
         let g = gb.build().unwrap();
         let (large, tiny) = (g.upper(0), g.upper(150));
+        (g, large, tiny)
+    }
+
+    #[test]
+    fn batch_charges_each_leader_its_own_kernel_time() {
+        // One same-algorithm batch with a leader in each biclique. Each
+        // leader's kernel stage must be its own kernel call, not the
+        // whole batch's kernel window.
+        let (g, large, tiny) = large_and_tiny_bicliques();
         let e = QueryEngine::start(
             CommunitySearch::shared(g),
             ServiceConfig {
@@ -2332,6 +2129,135 @@ mod tests {
             kernel_of(tiny) < kernel_of(large),
             "tiny leader charged the batch's kernel window: {slow:?}"
         );
+        e.shutdown();
+    }
+
+    #[test]
+    fn jobs_of_one_tile_and_every_request_records_reply() {
+        let (g, large, tiny) = large_and_tiny_bicliques();
+        let e = QueryEngine::start(
+            CommunitySearch::shared(g),
+            ServiceConfig {
+                workers: 1,
+                // Holds every request below.
+                slow_ring_capacity: 8,
+                ..ServiceConfig::default()
+            },
+        );
+        // A per-request leader on the large component, then the same key
+        // again. The second waits in the queue behind the leader's kernel
+        // (so its total is far above 0µs and the ring keeps it) and is
+        // served as a cache hit.
+        let req = QueryRequest::new(large, 2, 2, Algorithm::Peel);
+        let (first, second) = (e.submit(req), e.submit(req));
+        let (first, second) = (first.wait(), second.wait());
+        assert!(!first.cached && second.cached);
+        let st = e.stats();
+        assert_eq!(st.stages[Stage::Reply as usize].count, 2);
+        assert_eq!(st.slow.len(), 2, "{:?}", st.slow);
+        for sq in &st.slow {
+            assert_eq!(sq.provenance, Provenance::Single, "{sq}");
+            let sum: u64 = sq.stages_us.iter().sum();
+            assert!(
+                sum.abs_diff(sq.total_us) <= crate::telemetry::N_STAGES as u64 + 2,
+                "a job of one must tile its request: {sum}µs of {}µs ({sq})",
+                sq.total_us
+            );
+        }
+
+        // One 3-request batch with a duplicate key and a large leader,
+        // so every member's total is far above 0µs.
+        let resps = e.query_batch(&[
+            QueryRequest::new(tiny, 2, 2, Algorithm::Peel),
+            QueryRequest::new(tiny, 2, 2, Algorithm::Peel),
+            QueryRequest::new(large, 3, 3, Algorithm::Peel),
+        ]);
+        assert!(resps[1].cached);
+        let st = e.stats();
+        assert_eq!(st.completed, 5);
+        assert_eq!(
+            st.stages[Stage::Reply as usize].count,
+            st.completed,
+            "every request records its reply stage"
+        );
+        let batch: Vec<_> = st
+            .slow
+            .iter()
+            .filter(|s| s.provenance == Provenance::Batch)
+            .collect();
+        assert_eq!(batch.len(), 3, "{:?}", st.slow);
+        for sq in batch {
+            let sum: u64 = sq.stages_us.iter().sum();
+            assert!(sum <= sq.total_us, "stages exceed the request: {sq}");
+        }
+        e.shutdown();
+    }
+
+    #[test]
+    fn stale_snapshot_keys_rejoin_after_the_install() {
+        // Plant a pending flight for key K one epoch ahead of the engine:
+        // every join of K then sees a stale snapshot until an install
+        // reaches that epoch, and then coalesces onto the planted flight.
+        let e = engine(2);
+        let g = e.current_index().0.graph().clone();
+        let k = QueryRequest::new(g.upper(2), 2, 2, Algorithm::Peel);
+        let other = QueryRequest::new(g.upper(0), 1, 1, Algorithm::Peel);
+        let shard = e.core.shards[0].clone();
+        let ahead = shard.snapshot().1 + 1;
+        let planted = Arc::new(Flight {
+            epoch: AtomicU64::new(ahead),
+            slot: Mutex::new(FlightState::Pending),
+            cv: Condvar::new(),
+        });
+        shard.inflight.lock().unwrap().insert(k, planted.clone());
+
+        // Each job is served by its own worker, and both spin on the stale
+        // snapshot before the install. The batch provably does: it caches
+        // `other` only after joining K in the same round. The per-request
+        // job joins right after its counted miss, and has the whole of the
+        // batch's first round to get there.
+        let await_cache = |misses: u64, entries: usize| {
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            loop {
+                let st = shard.cache.stats();
+                if (st.misses, st.entries) == (misses, entries) {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "jobs stalled: {st:?}");
+                std::thread::yield_now();
+            }
+        };
+        let single = e.submit(k);
+        await_cache(1, 0);
+        let batch = e.submit_batch(&[k, k, other]);
+        await_cache(3, 1);
+        assert_eq!(e.install(CommunitySearch::shared(figure2_example())), ahead);
+        let answer = QueryResponse {
+            request: k,
+            summary: CommunitySummary::empty(),
+            cached: false,
+            coalesced: false,
+            epoch: ahead,
+            service_us: 0,
+        };
+        planted.publish(FlightState::Done(answer.clone()));
+
+        let mut got = vec![single.wait()];
+        let resps = batch.wait();
+        assert_eq!(resps[2].request, other);
+        assert!(!resps[2].cached && !resps[2].coalesced);
+        assert!(resps[2].summary.size() > 0);
+        got.extend_from_slice(&resps[..2]);
+        for r in &got {
+            assert_eq!(r.request, k);
+            assert!(r.coalesced && !r.cached, "{r:?}");
+            assert_eq!((r.epoch, &r.summary), (ahead, &answer.summary));
+        }
+        let st = e.stats();
+        assert_eq!(st.completed, 4);
+        assert_eq!(st.cache.hits + st.cache.misses, st.completed);
+        shard.inflight.lock().unwrap().remove(&k);
+        assert_eq!(e.inflight_len(), 0);
         e.shutdown();
     }
 

@@ -20,10 +20,12 @@
 //! ```
 //!
 //! * [`engine::QueryEngine`] — the worker pool. [`engine::QueryEngine::submit`]
-//!   enqueues and returns a handle; [`engine::QueryEngine::query`] blocks.
-//! * batch submission — [`engine::QueryEngine::submit_batch`] carries N
-//!   requests through the queue as one job: one index-snapshot read, one
-//!   cache lookup per unique key, and each leader answered by
+//!   enqueues a job of one and returns a handle;
+//!   [`engine::QueryEngine::query`] blocks.
+//! * one serve path — [`engine::QueryEngine::submit_batch`] carries N
+//!   requests through the queue as one job, and a per-request
+//!   submission is a batch of one: one index-snapshot read, one cache
+//!   lookup per unique key, and each leader answered by
 //!   [`scs::CommunitySearch::significant_community_arena`] on the
 //!   serving worker's one reused workspace and arena; responses come
 //!   back in submission order with results identical to per-request
@@ -51,7 +53,7 @@
 //!   both reused across queries (and across epoch swaps, growing if a
 //!   larger graph is installed). Summaries are arena-backed
 //!   ([`EdgeStore::Arena`]), responses travel by value, and reply
-//!   slots, flights and batch request/response vectors are pooled, so the
+//!   slots, flights and job request/response vectors are pooled, so the
 //!   steady-state **warm leader path performs zero heap allocations
 //!   end to end** — enforced by the counting-allocator binary
 //!   `tests/alloc_free_service.rs`. Slabs recycle when the cache

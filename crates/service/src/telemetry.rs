@@ -15,29 +15,26 @@
 //!
 //! ## Stage attribution
 //!
-//! A request's end-to-end latency (enqueue → reply handed back) is
-//! split into six stages ([`Stage`]). On the per-request path the
-//! worker's [`StageRecorder`] checkpoint-tiles the whole interval, so
-//! stage sums reconcile with the total to within per-stage truncation
-//! (≤ 1µs per recorded stage — asserted by `tests/telemetry_stress.rs`).
-//! On the batched path the batch-wide phases (queue wait, snapshot
-//! acquire) are measured once and attributed to every request they
-//! covered, the per-key phases (cache lookup, kernel run, publish) are
-//! measured per key, and unattributed gaps (e.g. the kernel calls of
-//! the batch's earlier leaders) are left out — so batched stage sums are a
+//! A request's end-to-end latency (enqueue → recorded) is split into
+//! seven stages ([`Stage`]). Every job — a per-request submission is a
+//! job of one — is timed by one stopwatch on its serving worker, and
+//! each stage window is the difference of two consecutive checkpoints,
+//! charged to the requests it served. A job of one request is charged
+//! every window, so its stages **tile** the interval: the µs stage sum
+//! equals the total (asserted by `tests/telemetry_stress.rs` and the
+//! engine's unit tests). A member of a larger batch is charged the
+//! job-wide windows (queue wait, snapshot acquire, reply) and its own
+//! key's windows (cache lookup, kernel, publish); the windows spent on
+//! the batch's other keys are left out, so batched stage sums are a
 //! **lower bound** on the total (`Σ stages ≤ total`), never an
-//! overcount of any single wall-clock interval. For coalesced
-//! requests the kernel stage is the wait on the leader's computation.
-//! The reply stage (handing the pooled response back to the submitter)
-//! is only measurable on the per-request path; batch entries leave it
-//! untouched rather than guessing.
+//! overcount of any single wall-clock interval. For coalesced requests
+//! the kernel stage is the wait on the leader's computation.
 
 use crate::stats::{HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
 use crate::QueryRequest;
 use scs::Algorithm;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Number of fixed stages every request's latency is split into.
 pub const N_STAGES: usize = 7;
@@ -67,7 +64,9 @@ pub enum Stage {
     /// Acquiring the epoch-consistent index snapshot and joining (or
     /// founding) the in-flight table entry.
     Snapshot = 1,
-    /// Result-cache probe (and, for batches, the per-key dedup lookup).
+    /// Result-cache probe, once per unique key of a job. The job's first
+    /// key's window also covers grouping the job's duplicate keys; a
+    /// hit's covers answering its slots.
     CacheLookup = 2,
     /// Kernel compute — for coalesced requests, the wait on the
     /// leader's computation; for batch members, their key's own kernel
@@ -76,8 +75,9 @@ pub enum Stage {
     /// Publishing the result: cache insert, flight publish, response
     /// construction, counters.
     Publish = 4,
-    /// Handing the response back to the submitter (per-request
-    /// submissions only).
+    /// Assembling the job's response vector for the submitter, after
+    /// its last request is answered. The reply-cell hand-off itself (a
+    /// mutex and a notify) follows the recording and is in no trace.
     Reply = 5,
     /// Socket accept → engine enqueue: HTTP parse, admission control
     /// and deadline-batch accumulation in [`crate::server`]. Only the
@@ -117,13 +117,15 @@ impl Stage {
     }
 }
 
-/// How a request reached the engine — retained in the slow-query ring
-/// so a pathological latency can be traced to its submission shape.
+/// The shape of the job a request was served in — retained in the
+/// slow-query ring so a pathological latency can be traced to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
-    /// Per-request submission (`submit` / `query`).
+    /// A job of one request: a per-request submission (`submit` /
+    /// `query`), or a batch of one (e.g. an HTTP request the deadline
+    /// batcher flushed alone). Its stages tile its total.
     Single = 0,
-    /// Member of a batch job.
+    /// Member of a job of several requests (`Σ stages ≤ total`).
     Batch = 1,
 }
 
@@ -252,9 +254,8 @@ impl fmt::Display for SlowQuery {
 }
 
 /// Everything [`Telemetry::record`] needs about one completed request.
-/// Built on the stack (engine hot path — no allocation) either from a
-/// [`StageRecorder`] (per-request path) or a [`StageSet`] (batched
-/// attribution).
+/// Built on the stack (engine hot path — no allocation) from a
+/// [`StageSet`].
 #[derive(Debug, Clone, Copy)]
 pub struct RequestTrace {
     /// Query vertex (raw id).
@@ -283,8 +284,8 @@ pub struct RequestTrace {
     pub touched: u8,
 }
 
-/// Explicit stage attribution for the batched path: set the stages you
-/// measured, leave the rest untouched.
+/// Explicit stage attribution: set (or add to) the stages a request
+/// passed through, leave the rest untouched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageSet {
     stages_us: [u64; N_STAGES],
@@ -301,6 +302,15 @@ impl StageSet {
     /// call with 0 for a stage that ran but took under a microsecond).
     pub fn set(&mut self, stage: Stage, us: u64) -> &mut Self {
         self.stages_us[stage as usize] = us;
+        self.touched |= stage.bit();
+        self
+    }
+
+    /// Adds `us` microseconds to `stage` (marking it touched) — for a
+    /// stage a request passes through more than once, such as the
+    /// snapshot stage of a key that rejoins after an install.
+    pub fn add(&mut self, stage: Stage, us: u64) -> &mut Self {
+        self.stages_us[stage as usize] += us;
         self.touched |= stage.bit();
         self
     }
@@ -330,113 +340,6 @@ impl StageSet {
             touched: self.touched,
         }
     }
-}
-
-/// Per-worker stage stopwatch for the per-request path. Preallocated
-/// (plain scalars, no heap) and reused across requests.
-///
-/// Usage: [`Self::start`] at dequeue (attributing the queue wait),
-/// then [`Self::mark`] at each stage boundary — the elapsed time since
-/// the previous checkpoint is attributed to the finished stage.
-/// Internally nanoseconds, so the µs stage sums reconcile with
-/// [`Self::total_us`] to within 1µs truncation per marked stage.
-#[derive(Debug)]
-pub struct StageRecorder {
-    stage_ns: [u64; N_STAGES],
-    touched: u8,
-    queue_us: u64,
-    start: Instant,
-    last: Instant,
-}
-
-impl Default for StageRecorder {
-    fn default() -> Self {
-        let now = Instant::now();
-        StageRecorder {
-            stage_ns: [0; N_STAGES],
-            touched: 0,
-            queue_us: 0,
-            start: now,
-            last: now,
-        }
-    }
-}
-
-impl StageRecorder {
-    /// Fresh recorder (equivalent to `default()`).
-    pub fn new() -> Self {
-        StageRecorder::default()
-    }
-
-    /// Resets and starts timing a request that was enqueued at
-    /// `enqueued`; the elapsed wait becomes the queue-wait stage.
-    pub fn start(&mut self, enqueued: Instant) {
-        let now = Instant::now();
-        self.start_with_queue_us(dur_us(now.saturating_duration_since(enqueued)));
-    }
-
-    /// Resets and starts timing with an externally measured queue wait
-    /// (the batched path measures it once per batch).
-    pub fn start_with_queue_us(&mut self, queue_us: u64) {
-        let now = Instant::now();
-        self.stage_ns = [0; N_STAGES];
-        self.touched = Stage::QueueWait.bit();
-        self.queue_us = queue_us;
-        self.start = now;
-        self.last = now;
-    }
-
-    /// Attributes the time since the previous checkpoint to `stage`
-    /// and advances the checkpoint.
-    pub fn mark(&mut self, stage: Stage) {
-        let now = Instant::now();
-        self.stage_ns[stage as usize] += dur_ns(now.saturating_duration_since(self.last));
-        self.touched |= stage.bit();
-        self.last = now;
-    }
-
-    /// Total attributed time: queue wait plus everything up to the
-    /// last checkpoint, µs.
-    pub fn total_us(&self) -> u64 {
-        self.queue_us + dur_us(self.last.saturating_duration_since(self.start))
-    }
-
-    /// Assembles the trace for the request just recorded.
-    pub fn trace(
-        &self,
-        req: &QueryRequest,
-        epoch: u64,
-        cached: bool,
-        coalesced: bool,
-        provenance: Provenance,
-    ) -> RequestTrace {
-        let mut stages_us = [0u64; N_STAGES];
-        for (i, ns) in self.stage_ns.iter().enumerate() {
-            stages_us[i] = ns / 1_000;
-        }
-        stages_us[Stage::QueueWait as usize] = self.queue_us;
-        RequestTrace {
-            q: req.q.0,
-            alpha: req.alpha,
-            beta: req.beta,
-            algo: req.algo,
-            epoch,
-            provenance,
-            cached,
-            coalesced,
-            total_us: self.total_us(),
-            stages_us,
-            touched: self.touched,
-        }
-    }
-}
-
-fn dur_us(d: std::time::Duration) -> u64 {
-    d.as_micros() as u64
-}
-
-fn dur_ns(d: std::time::Duration) -> u64 {
-    d.as_nanos() as u64
 }
 
 /// The engine's preallocated telemetry plane: per-algorithm end-to-end
@@ -2003,45 +1906,6 @@ mod tests {
                 p99_us: total.quantile_us(0.99),
             }],
         }
-    }
-
-    #[test]
-    fn recorder_tiles_the_request_interval() {
-        let mut rec = StageRecorder::new();
-        rec.start_with_queue_us(5);
-        rec.mark(Stage::CacheLookup);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        rec.mark(Stage::Kernel);
-        rec.mark(Stage::Publish);
-        let t = rec.trace(
-            &req(3, Algorithm::Peel),
-            1,
-            false,
-            false,
-            Provenance::Single,
-        );
-        assert_eq!(t.q, 3);
-        assert_eq!(t.alpha, 2);
-        assert_eq!(t.beta, 3);
-        assert_eq!(t.stages_us[Stage::QueueWait as usize], 5);
-        assert!(t.stages_us[Stage::Kernel as usize] >= 2_000);
-        assert_eq!(t.touched & Stage::Reply.bit(), 0);
-        assert_ne!(t.touched & Stage::CacheLookup.bit(), 0);
-        // Stage sums reconcile with the total to ≤1µs truncation per
-        // marked stage.
-        let sum: u64 = t.stages_us.iter().sum();
-        let marked = 4; // queue + cache + kernel + publish
-        assert!(sum <= t.total_us, "sum {sum} > total {}", t.total_us);
-        assert!(
-            sum + marked >= t.total_us,
-            "sum {sum} + {marked} < total {}",
-            t.total_us
-        );
-        // Restarting fully resets.
-        rec.start_with_queue_us(0);
-        let t2 = rec.trace(&req(3, Algorithm::Peel), 1, true, false, Provenance::Single);
-        assert_eq!(t2.stages_us[Stage::Kernel as usize], 0);
-        assert_eq!(t2.touched, Stage::QueueWait.bit());
     }
 
     #[test]
