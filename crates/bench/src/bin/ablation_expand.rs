@@ -7,8 +7,8 @@
 use datasets::random_core_queries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scs::query::{scs_expand_with_options, ExpandOptions};
-use scs::DeltaIndex;
+use scs::query::{scs_expand_into, ExpandOptions};
+use scs::{DeltaIndex, QueryWorkspace};
 use scs_bench::*;
 
 fn measure(
@@ -19,9 +19,12 @@ fn measure(
     b: usize,
     opts: ExpandOptions,
 ) -> f64 {
+    let mut ws = QueryWorkspace::new();
+    let mut out = Vec::new();
     let (mean, _) = mean_std(&time_queries(queries, |q| {
         let c = id.query_community(g, q, a, b);
-        std::hint::black_box(scs_expand_with_options(g, &c, q, a, b, opts));
+        scs_expand_into(g, c.edges(), q, a, b, opts, &mut ws, &mut out);
+        std::hint::black_box(&out);
     }));
     mean
 }

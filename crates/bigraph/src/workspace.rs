@@ -2,10 +2,10 @@
 //!
 //! Every hot-path algorithm in this workspace (core peeling, index
 //! retrieval, the SCS second-step kernels) needs the same few pieces of
-//! per-run scratch: a couple of vertex/edge membership sets, a degree
-//! array, a BFS queue and an output edge buffer. Allocating those fresh
-//! per query makes every query Ω(n + m) in allocator traffic regardless
-//! of how small the answer is. A [`Workspace`] owns them once, grows
+//! per-run scratch: a couple of membership sets, a degree array and
+//! traversal worklists. Allocating those fresh per query makes every
+//! query Ω(n) in allocator traffic regardless of how small the answer
+//! is. A [`Workspace`] owns them once, grows
 //! monotonically to the largest graph it has served, and makes resets
 //! O(1) via epoch stamping — so a warm workspace serves an unbounded
 //! query stream with **zero** further heap allocations.
@@ -345,7 +345,7 @@ stamp_set_impl!(EdgeSet, EdgeId);
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Scratch-buffer acquisitions served (one per buffer per
-    /// [`Workspace::fit_sizes`] call).
+    /// [`Workspace::fit_vertices`] call).
     pub acquisitions: u64,
     /// Acquisitions that had to grow a buffer (≈ real allocations).
     pub grows: u64,
@@ -367,28 +367,24 @@ impl WorkspaceStats {
 ///
 /// Field semantics are by convention (the workspace is a memory pool,
 /// not an algorithm): `visited` marks BFS/DFS discovery, `dead` marks
-/// peeled-away vertices, `edges` is whichever edge membership the
-/// running kernel needs (alive set, inserted set, …), `degree` holds
-/// live degrees, `queue`/`stack` are traversal worklists of raw vertex
-/// ids, and `out_edges` receives result edge ids. Every algorithm that
-/// takes `&mut Workspace` documents which fields it clobbers; two
-/// algorithms can share one workspace sequentially, never concurrently.
+/// peeled-away vertices, `degree` holds live degrees, and
+/// `queue`/`stack` are traversal worklists of raw vertex ids. Every
+/// buffer is vertex-sized; results go to a caller-owned output `Vec`.
+/// Every algorithm that takes `&mut Workspace` documents which fields
+/// it clobbers; two algorithms can share one workspace sequentially,
+/// never concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// BFS/DFS discovery marks.
     pub visited: VertexSet,
     /// Vertices removed by peeling (membership = removed).
     pub dead: VertexSet,
-    /// General-purpose edge membership (liveness, insertion, …).
-    pub edges: EdgeSet,
     /// Per-vertex live degrees.
     pub degree: VertexMap<u32>,
     /// Primary traversal worklist (vertex ids).
     pub queue: Vec<u32>,
     /// Secondary worklist (cascades).
     pub stack: Vec<u32>,
-    /// Result edge buffer.
-    pub out_edges: Vec<EdgeId>,
     stats: WorkspaceStats,
 }
 
@@ -398,24 +394,22 @@ impl Workspace {
         Self::default()
     }
 
-    /// Ensures every buffer can serve a graph with `n` vertices and `m`
-    /// edges. Grow-only; a warm call is allocation-free.
-    pub fn fit_sizes(&mut self, n: usize, m: usize) {
+    /// Ensures every buffer can serve a graph with `n` vertices.
+    /// Grow-only; a warm call is allocation-free.
+    pub fn fit_vertices(&mut self, n: usize) {
         let mut grows = 0u64;
         grows += self.visited.ensure(n) as u64;
         grows += self.dead.ensure(n) as u64;
-        grows += self.edges.ensure(m) as u64;
         grows += self.degree.ensure(n, 0) as u64;
         grows += grow_vec(&mut self.queue, n) as u64;
         grows += grow_vec(&mut self.stack, n) as u64;
-        grows += grow_vec(&mut self.out_edges, m) as u64;
-        self.stats.acquisitions += 7;
+        self.stats.acquisitions += 5;
         self.stats.grows += grows;
     }
 
-    /// [`Self::fit_sizes`] for a concrete graph.
+    /// [`Self::fit_vertices`] for a concrete graph.
     pub fn fit(&mut self, g: &BipartiteGraph) {
-        self.fit_sizes(g.n_vertices(), g.n_edges());
+        self.fit_vertices(g.n_vertices());
     }
 
     /// Resident heap bytes across all scratch buffers — the price of
@@ -423,11 +417,9 @@ impl Workspace {
     pub fn heap_bytes(&self) -> usize {
         self.visited.heap_bytes()
             + self.dead.heap_bytes()
-            + self.edges.heap_bytes()
             + self.degree.heap_bytes()
             + self.queue.capacity() * std::mem::size_of::<u32>()
             + self.stack.capacity() * std::mem::size_of::<u32>()
-            + self.out_edges.capacity() * std::mem::size_of::<EdgeId>()
     }
 
     /// Reuse accounting since construction.
@@ -444,7 +436,7 @@ impl Workspace {
 
 /// Reserves capacity for `n` elements in a reusable worklist without
 /// touching its contents; returns `true` if it grew. The grow-only
-/// primitive behind [`Workspace::fit_sizes`], shared by downstream
+/// primitive behind [`Workspace::fit_vertices`], shared by downstream
 /// workspaces (e.g. `scs::QueryWorkspace`) so every scratch buffer in
 /// the pipeline follows one growth policy.
 pub fn grow_vec<T>(v: &mut Vec<T>, n: usize) -> bool {
@@ -546,7 +538,7 @@ mod tests {
         let second = ws.stats();
         assert_eq!(second.grows, first.grows, "warm fit must not grow");
         assert_eq!(ws.heap_bytes(), bytes);
-        assert!(ws.allocations_avoided() >= 7);
+        assert!(ws.allocations_avoided() >= 5);
         // Buffers are addressable for the fitted graph.
         ws.visited.clear();
         assert!(ws.visited.insert(g.upper(1)));
@@ -557,12 +549,12 @@ mod tests {
     #[test]
     fn workspace_grows_to_largest_graph_seen() {
         let mut ws = Workspace::new();
-        ws.fit_sizes(4, 4);
+        ws.fit_vertices(4);
         let small = ws.heap_bytes();
-        ws.fit_sizes(100, 200);
+        ws.fit_vertices(100);
         let big = ws.heap_bytes();
         assert!(big > small);
-        ws.fit_sizes(10, 10); // shrinking graph: capacity is retained
+        ws.fit_vertices(10); // shrinking graph: capacity is retained
         assert_eq!(ws.heap_bytes(), big);
     }
 }

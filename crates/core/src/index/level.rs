@@ -9,7 +9,7 @@
 //! what makes retrieval time linear in the result size.
 
 use bigraph::workspace::Workspace;
-use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
+use bigraph::{BipartiteGraph, EdgeId, Vertex};
 
 /// One annotated adjacency entry of an index level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,30 +199,11 @@ pub struct QueryStats {
 /// threshold α, …). Entries are scanned in offset-descending order and
 /// the scan stops at the first entry below the threshold, so only result
 /// edges (plus one probe per vertex) are touched.
-pub(crate) fn query_level<'g>(
-    g: &'g BipartiteGraph,
-    level: &Level,
-    q: Vertex,
-    threshold: u32,
-    stats: &mut QueryStats,
-) -> Subgraph<'g> {
-    let mut out = Vec::new();
-    query_level_into(
-        g,
-        level,
-        q,
-        threshold,
-        &mut Workspace::new(),
-        &mut out,
-        stats,
-    );
-    Subgraph::from_edges(g, out)
-}
-
-/// [`query_level`] on reusable scratch: the epoch-stamped visited set
-/// replaces the per-query `vec![false; n]` bitmap (whose O(n) memset
-/// dominated small queries), and `out` receives the sorted community
-/// edges (cleared first). Clobbers `ws.visited` and `ws.queue`.
+///
+/// Runs on reusable scratch: the epoch-stamped visited set replaces a
+/// per-query `vec![false; n]` bitmap (whose O(n) memset dominated small
+/// queries), and `out` receives the sorted community edges (cleared
+/// first). Clobbers `ws.visited` and `ws.queue`.
 pub(crate) fn query_level_into(
     g: &BipartiteGraph,
     level: &Level,
@@ -272,7 +253,7 @@ pub(crate) fn query_level_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigraph::GraphBuilder;
+    use bigraph::{GraphBuilder, Subgraph};
 
     #[test]
     fn push_and_lookup() {
@@ -363,19 +344,23 @@ mod tests {
                 },
             ],
         );
-        let mut stats = QueryStats::default();
-        let r = query_level(&g, &level, g.upper(0), 2, &mut stats);
+        let mut ws = Workspace::new();
+        let mut out = Vec::new();
+        let mut query = |q: Vertex, threshold: u32| {
+            let mut stats = QueryStats::default();
+            query_level_into(&g, &level, q, threshold, &mut ws, &mut out, &mut stats);
+            assert_eq!(stats.result_edges, out.len());
+            Subgraph::from_edges(&g, out.clone())
+        };
+        let r = query(g.upper(0), 2);
         assert_eq!(r.size(), 1);
         assert!(r.contains_vertex(g.lower(0)));
         assert!(!r.contains_vertex(g.upper(1)));
         // Low-offset query vertex short-circuits.
-        let r = query_level(&g, &level, g.upper(1), 2, &mut Default::default());
-        assert!(r.is_empty());
+        assert!(query(g.upper(1), 2).is_empty());
         // Unknown vertex short-circuits.
-        let r = query_level(&g, &level, g.lower(1), 1, &mut Default::default());
-        assert!(r.is_empty());
+        assert!(query(g.lower(1), 1).is_empty());
         // Threshold 1 returns everything.
-        let r = query_level(&g, &level, g.upper(0), 1, &mut Default::default());
-        assert_eq!(r.size(), 2);
+        assert_eq!(query(g.upper(0), 1).size(), 2);
     }
 }

@@ -122,7 +122,9 @@ impl DynamicIndex {
         self.index.query_community(&self.graph, q, alpha, beta)
     }
 
-    /// Full significant-community query on the maintained index.
+    /// Full significant-community query on the maintained index,
+    /// dispatched exactly as [`crate::CommunitySearch::significant_community`]
+    /// (including how [`crate::Algorithm::Auto`] resolves).
     pub fn significant_community(
         &self,
         q: Vertex,
@@ -130,15 +132,18 @@ impl DynamicIndex {
         beta: usize,
         algorithm: crate::Algorithm,
     ) -> Subgraph<'_> {
-        let c = self.query_community(q, alpha, beta);
-        match algorithm {
-            crate::Algorithm::Baseline => crate::query::scs_baseline(&self.graph, q, alpha, beta),
-            crate::Algorithm::Expand => crate::query::scs_expand(&self.graph, &c, q, alpha, beta),
-            crate::Algorithm::Binary => crate::query::scs_binary(&self.graph, &c, q, alpha, beta),
-            crate::Algorithm::Peel | crate::Algorithm::Auto => {
-                crate::query::scs_peel(&self.graph, &c, q, alpha, beta)
-            }
-        }
+        let mut out = Vec::new();
+        crate::dispatch_into(
+            &self.graph,
+            &self.index,
+            q,
+            alpha,
+            beta,
+            algorithm,
+            &mut crate::QueryWorkspace::new(),
+            &mut out,
+        );
+        Subgraph::from_edges(&self.graph, out)
     }
 
     /// Rebuilds the CSR with one edge added and/or removed. `O(n + m)` —

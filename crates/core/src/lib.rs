@@ -26,6 +26,21 @@
 //!    [`query::scs_binary`], or the no-index strawman
 //!    [`query::scs_baseline`].
 //!
+//! ## Two entry points per layer
+//!
+//! Every query layer comes in two forms. `x` (for example
+//! [`CommunitySearch::significant_community`] or [`query::scs_peel`])
+//! returns an owned [`Subgraph`] and allocates a throwaway
+//! [`QueryWorkspace`]; it suits tests, examples and one-off callers.
+//! `x_into(…, ws, out)` (for example
+//! [`CommunitySearch::significant_community_into`] or
+//! [`query::scs_peel_into`]) is the allocation-free hot path: it takes a
+//! reusable workspace and clears and fills a caller-owned
+//! `Vec<EdgeId>` with the sorted result edges. The `scs-service` engine
+//! runs the `_into` form into a per-worker staging `Vec` and copies the
+//! result into its `bigraph::arena::ResultArena`, so a warm leader query
+//! allocates nothing, the result included.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -67,7 +82,6 @@ pub use index::{BasicIndex, DeltaIndex, DynamicIndex};
 pub use query::{scs_baseline, scs_binary, scs_expand, scs_peel};
 pub use workspace::QueryWorkspace;
 
-use bigraph::arena::{ArenaEdges, ResultArena};
 use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
 use std::fmt;
 use std::sync::Arc;
@@ -173,24 +187,6 @@ impl CommunitySearch {
         self.index.delta()
     }
 
-    /// Resolves [`Algorithm::Auto`] from the query parameters.
-    fn resolve_algorithm(&self, alpha: usize, beta: usize, algorithm: Algorithm) -> Algorithm {
-        match algorithm {
-            Algorithm::Auto => {
-                // Expansion wins when the community is much larger than
-                // the result (small constraints); peeling wins when they
-                // are close (large constraints). The measured Fig. 13
-                // crossover sits around a quarter of the degeneracy.
-                if alpha.min(beta) * 4 >= self.delta().max(1) {
-                    Algorithm::Peel
-                } else {
-                    Algorithm::Expand
-                }
-            }
-            other => other,
-        }
-    }
-
     /// Step 1: the (α,β)-community of `q` (`Qopt`, optimal time).
     pub fn community(&self, q: Vertex, alpha: usize, beta: usize) -> Subgraph<'_> {
         self.index.query_community(&self.graph, q, alpha, beta)
@@ -204,13 +200,15 @@ impl CommunitySearch {
         beta: usize,
         ws: &mut QueryWorkspace,
     ) -> Subgraph<'_> {
+        let mut out = Vec::new();
         self.index
-            .query_community_in(&self.graph, q, alpha, beta, ws.base_mut())
+            .query_community_into(&self.graph, q, alpha, beta, &mut ws.base, &mut out);
+        Subgraph::from_edges(&self.graph, out)
     }
 
     /// Steps 1+2: the significant (α,β)-community of `q`.
     ///
-    /// Thin wrapper over [`Self::significant_community_in`] with a
+    /// Thin wrapper over [`Self::significant_community_into`] with a
     /// throwaway workspace; callers issuing many queries (the serving
     /// layer, benchmark loops) should hold a [`QueryWorkspace`] instead.
     pub fn significant_community(
@@ -220,53 +218,24 @@ impl CommunitySearch {
         beta: usize,
         algorithm: Algorithm,
     ) -> Subgraph<'_> {
-        self.significant_community_in(q, alpha, beta, algorithm, &mut QueryWorkspace::new())
-    }
-
-    /// [`Self::significant_community`] with caller-provided reusable
-    /// scratch: after warm-up the only allocation left is the returned
-    /// result subgraph.
-    pub fn significant_community_in(
-        &self,
-        q: Vertex,
-        alpha: usize,
-        beta: usize,
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-    ) -> Subgraph<'_> {
         let mut out = Vec::new();
-        self.significant_community_into(q, alpha, beta, algorithm, ws, &mut out);
+        self.significant_community_into(
+            q,
+            alpha,
+            beta,
+            algorithm,
+            &mut QueryWorkspace::new(),
+            &mut out,
+        );
         Subgraph::from_edges(&self.graph, out)
-    }
-
-    /// [`Self::significant_community_into`] storing the result in
-    /// arena storage: the community's sorted edge ids are copied into a
-    /// slab of `arena` and the returned [`ArenaEdges`] handle pins
-    /// them. With a warm `ws` **and** a warm arena (a free slab — every
-    /// result of a retired generation dropped), a repeated query
-    /// performs zero heap allocations *including the result itself* —
-    /// the contract the serving layer's leader path is built on.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-    pub fn significant_community_arena(
-        &self,
-        q: Vertex,
-        alpha: usize,
-        beta: usize,
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-        arena: &mut ResultArena,
-    ) -> ArenaEdges {
-        let mut out = std::mem::take(&mut ws.result);
-        self.significant_community_into(q, alpha, beta, algorithm, ws, &mut out);
-        let stored = arena.store(&out);
-        ws.result = out;
-        stored
     }
 
     /// Fully allocation-free query: `out` is cleared and receives the
     /// sorted edge ids of the significant (α,β)-community. With a warm
     /// `ws` and a warm `out`, a repeated query performs zero heap
-    /// allocations.
+    /// allocations. The serving layer copies `out` into its result
+    /// arena (`ResultArena::store`), which keeps the result itself
+    /// allocation-free too.
     // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
     pub fn significant_community_into(
         &self,
@@ -277,37 +246,70 @@ impl CommunitySearch {
         ws: &mut QueryWorkspace,
         out: &mut Vec<EdgeId>,
     ) {
-        let algorithm = self.resolve_algorithm(alpha, beta, algorithm);
-        if algorithm == Algorithm::Baseline {
-            query::scs_baseline_into(&self.graph, q, alpha, beta, ws, out);
-            return;
-        }
-        ws.retrieve_community(|base, community| {
-            self.index
-                .query_community_into(&self.graph, q, alpha, beta, base, community);
-        });
-        let community = ws.take_community();
-        match algorithm {
-            Algorithm::Auto | Algorithm::Baseline => unreachable!("resolved above"),
-            Algorithm::Peel => {
-                query::scs_peel_into(&self.graph, &community, q, alpha, beta, ws, out)
-            }
-            Algorithm::Expand => query::scs_expand_into(
-                &self.graph,
-                &community,
-                q,
-                alpha,
-                beta,
-                query::ExpandOptions::default(),
-                ws,
-                out,
-            ),
-            Algorithm::Binary => {
-                query::scs_binary_into(&self.graph, &community, q, alpha, beta, ws, out)
-            }
-        }
-        ws.restore_community(community);
+        dispatch_into(&self.graph, &self.index, q, alpha, beta, algorithm, ws, out);
     }
+}
+
+/// Resolves [`Algorithm::Auto`] from the query parameters and the
+/// degeneracy δ of the indexed graph.
+fn resolve_algorithm(alpha: usize, beta: usize, delta: usize, algorithm: Algorithm) -> Algorithm {
+    match algorithm {
+        Algorithm::Auto => {
+            // Expansion wins when the community is much larger than
+            // the result (small constraints); peeling wins when they
+            // are close (large constraints). The measured Fig. 13
+            // crossover sits around a quarter of the degeneracy.
+            if alpha.min(beta) * 4 >= delta.max(1) {
+                Algorithm::Peel
+            } else {
+                Algorithm::Expand
+            }
+        }
+        other => other,
+    }
+}
+
+/// The one algorithm dispatch of the two-step query, shared by
+/// [`CommunitySearch`] and [`DynamicIndex`]: resolves `Auto`, retrieves
+/// `C_{α,β}(q)` from `index` into the workspace (skipped by
+/// `Baseline`, which searches the whole component) and refines it into
+/// `out` with the chosen kernel.
+#[allow(clippy::too_many_arguments)] // the query plus its graph, index and scratch
+pub(crate) fn dispatch_into(
+    g: &BipartiteGraph,
+    index: &DeltaIndex,
+    q: Vertex,
+    alpha: usize,
+    beta: usize,
+    algorithm: Algorithm,
+    ws: &mut QueryWorkspace,
+    out: &mut Vec<EdgeId>,
+) {
+    let algorithm = resolve_algorithm(alpha, beta, index.delta(), algorithm);
+    if algorithm == Algorithm::Baseline {
+        query::scs_baseline_into(g, q, alpha, beta, ws, out);
+        return;
+    }
+    index.query_community_into(g, q, alpha, beta, &mut ws.base, &mut ws.community);
+    // The kernels borrow the rest of the workspace mutably, so the
+    // community buffer steps out for the call.
+    let community = std::mem::take(&mut ws.community);
+    match algorithm {
+        Algorithm::Auto | Algorithm::Baseline => unreachable!("resolved above"),
+        Algorithm::Peel => query::scs_peel_into(g, &community, q, alpha, beta, ws, out),
+        Algorithm::Expand => query::scs_expand_into(
+            g,
+            &community,
+            q,
+            alpha,
+            beta,
+            query::ExpandOptions::default(),
+            ws,
+            out,
+        ),
+        Algorithm::Binary => query::scs_binary_into(g, &community, q, alpha, beta, ws, out),
+    }
+    ws.community = community;
 }
 
 #[cfg(test)]
@@ -337,19 +339,23 @@ mod tests {
 
     #[test]
     fn arena_results_match_vec_results() {
+        use bigraph::arena::{ArenaEdges, ResultArena};
         let search = CommunitySearch::new(figure2_example());
         let g = search.graph();
         let queries: Vec<(Vertex, usize, usize)> = (0..g.n_upper())
             .flat_map(|i| [(g.upper(i), 2, 2), (g.upper(i), 1, 1)])
             .collect();
-        // One workspace and one arena serve every query, as on a worker.
+        // One workspace, one staging buffer and one arena serve every
+        // query, as on a service worker.
         let mut ws = QueryWorkspace::new();
+        let mut staging = Vec::new();
         let mut arena = ResultArena::new();
         for algo in Algorithm::ALL {
             let handles: Vec<ArenaEdges> = queries
                 .iter()
                 .map(|&(q, a, b)| {
-                    search.significant_community_arena(q, a, b, algo, &mut ws, &mut arena)
+                    search.significant_community_into(q, a, b, algo, &mut ws, &mut staging);
+                    arena.store(&staging)
                 })
                 .collect();
             for (&(q, a, b), stored) in queries.iter().zip(&handles) {

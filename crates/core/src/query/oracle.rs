@@ -155,10 +155,12 @@ mod tests {
         // The oracle is the definitional ground truth; the reused-
         // workspace entry points must satisfy every clause of
         // Definition 5 just like the fresh-allocation paths do.
-        use crate::query::{scs_binary_in, scs_expand_in, scs_peel_in};
+        use crate::query::{scs_binary_into, scs_expand_into, scs_peel_into, ExpandOptions};
         use crate::workspace::QueryWorkspace;
+        use crate::Algorithm;
         let g = figure2_example();
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         for (a, b) in [(2, 2), (3, 3), (2, 3)] {
             for qi in 0..4 {
                 let q = g.upper(qi);
@@ -166,13 +168,18 @@ mod tests {
                 if c.is_empty() {
                     continue;
                 }
-                for (name, r) in [
-                    ("peel", scs_peel_in(&g, &c, q, a, b, &mut ws)),
-                    ("expand", scs_expand_in(&g, &c, q, a, b, &mut ws)),
-                    ("binary", scs_binary_in(&g, &c, q, a, b, &mut ws)),
-                ] {
+                for algo in [Algorithm::Peel, Algorithm::Expand, Algorithm::Binary] {
+                    match algo {
+                        Algorithm::Peel => scs_peel_into(&g, c.edges(), q, a, b, &mut ws, &mut out),
+                        Algorithm::Expand => {
+                            let opts = ExpandOptions::default();
+                            scs_expand_into(&g, c.edges(), q, a, b, opts, &mut ws, &mut out)
+                        }
+                        _ => scs_binary_into(&g, c.edges(), q, a, b, &mut ws, &mut out),
+                    }
+                    let r = Subgraph::from_edges(&g, out.clone());
                     verify_significant(&g, &c, q, a, b, &r)
-                        .unwrap_or_else(|e| panic!("{name} α={a} β={b} q={q:?}: {e}"));
+                        .unwrap_or_else(|e| panic!("{algo} α={a} β={b} q={q:?}: {e}"));
                 }
             }
         }

@@ -22,9 +22,11 @@
 //! let search = CommunitySearch::new(figure2_example());
 //! let mut ws = QueryWorkspace::new();
 //! let q = search.graph().upper(2);
-//! // Same answers as `significant_community`, no per-query scratch.
-//! let r = search.significant_community_in(q, 2, 2, Algorithm::Auto, &mut ws);
-//! assert_eq!(r.min_weight(), Some(13.0));
+//! // Same answers as `significant_community`, no per-query scratch:
+//! // the kernels write the sorted result edge ids into `out`.
+//! let mut out = Vec::new();
+//! search.significant_community_into(q, 2, 2, Algorithm::Auto, &mut ws, &mut out);
+//! assert_eq!(out, search.significant_community(q, 2, 2, Algorithm::Auto).edges());
 //! assert!(ws.heap_bytes() > 0);
 //! ```
 
@@ -97,9 +99,6 @@ pub struct QueryWorkspace {
     pub(crate) local: LocalGraph,
     /// Step-1 result: the community's global edge ids.
     pub(crate) community: Vec<EdgeId>,
-    /// Staging buffer for arena-bound results (the kernel writes here,
-    /// then the edges are copied into a `ResultArena` slab).
-    pub(crate) result: Vec<EdgeId>,
     /// Community-sized kernel scratch.
     pub(crate) scratch: LocalScratch,
     acquisitions: u64,
@@ -114,7 +113,7 @@ impl QueryWorkspace {
 
     /// Ensures the community-sized scratch can serve a local graph with
     /// `n` vertices and `m` edges. Grow-only and counted, like
-    /// [`Workspace::fit_sizes`].
+    /// [`Workspace::fit_vertices`].
     pub(crate) fn fit_local(&mut self, n: usize, m: usize) {
         use bigraph::workspace::grow_vec as grow;
         let s = &mut self.scratch;
@@ -133,29 +132,6 @@ impl QueryWorkspace {
         grows += grow(&mut s.heap, m) as u64;
         self.acquisitions += 12;
         self.grows += grows;
-    }
-
-    /// The graph-sized base workspace (index retrieval, baselines).
-    pub(crate) fn base_mut(&mut self) -> &mut Workspace {
-        &mut self.base
-    }
-
-    /// Runs step 1 through `f`, which receives the base workspace and
-    /// the community output buffer as disjoint borrows.
-    pub(crate) fn retrieve_community(&mut self, f: impl FnOnce(&mut Workspace, &mut Vec<EdgeId>)) {
-        f(&mut self.base, &mut self.community)
-    }
-
-    /// Temporarily moves the community buffer out (so a second-step
-    /// kernel can borrow the rest of the workspace mutably); pair with
-    /// [`Self::restore_community`].
-    pub(crate) fn take_community(&mut self) -> Vec<EdgeId> {
-        std::mem::take(&mut self.community)
-    }
-
-    /// Returns the buffer taken by [`Self::take_community`].
-    pub(crate) fn restore_community(&mut self, community: Vec<EdgeId>) {
-        self.community = community;
     }
 
     /// Counts the distinct upper- and lower-side endpoints of `edges`
@@ -188,7 +164,6 @@ impl QueryWorkspace {
         self.base.heap_bytes()
             + self.local.heap_bytes()
             + self.community.capacity() * std::mem::size_of::<EdgeId>()
-            + self.result.capacity() * std::mem::size_of::<EdgeId>()
             + self.scratch.heap_bytes()
     }
 

@@ -29,10 +29,12 @@
 //!   node-allocating channel;
 //! * reply slots ([`ReplyCell`]) and flights are pooled `Arc`s, reused
 //!   whenever their refcount proves nothing else holds them;
-//! * results are written into the worker's [`ResultArena`] — the
-//!   [`crate::CommunitySummary`] wraps a slab view, not a fresh `Vec` —
-//!   and [`crate::QueryResponse`] travels **by value** (cloning is a
-//!   refcount bump), so there is no `Arc::new` per response;
+//! * the kernel writes each result into the worker's reused staging
+//!   `Vec`, and `ResultArena::store` copies it into the worker's
+//!   [`ResultArena`] — the [`crate::CommunitySummary`] wraps a slab
+//!   view, not a fresh `Vec` — and [`crate::QueryResponse`] travels
+//!   **by value** (cloning is a refcount bump), so there is no
+//!   `Arc::new` per response;
 //! * cache entries hold responses by value; **eviction (or an
 //!   epoch-swap clear) drops the entry's slab handle, and once every
 //!   handle of a slab's generation is gone the owning worker recycles
@@ -45,9 +47,10 @@
 //! carries: one queue round-trip, **one** index snapshot read per
 //! round, one cache lookup per *unique* key, misses partitioned into
 //! leaders / followers / stale up front, and each leader answered in
-//! turn with [`scs::CommunitySearch::significant_community_arena`] on
-//! the worker's one reused workspace and arena. A key whose snapshot an
-//! install outran rejoins on a re-read snapshot in a further round.
+//! turn with [`scs::CommunitySearch::significant_community_into`] on
+//! the worker's one reused workspace and staging buffer, then stored
+//! into its one arena. A key whose snapshot an install outran rejoins
+//! on a re-read snapshot in a further round.
 //! Every leader is published before the worker waits on any other
 //! flight, so two workers serving each other's keys cannot deadlock.
 //! Responses come back in submission order; duplicate keys inside a
@@ -97,7 +100,7 @@ use crate::stats::{AdmissionStats, HistSnapshot, LatencyHistogram, ServiceStats,
 use crate::telemetry::{Provenance, SlowQuery, Stage, StageSet, Telemetry, TelemetrySnapshot};
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
 use bigraph::arena::ResultArena;
-use bigraph::Vertex;
+use bigraph::{EdgeId, Vertex};
 use scs::{CommunitySearch, QueryWorkspace};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -480,7 +483,8 @@ impl JobQueue {
 /// workspaces themselves (they are owned by the worker threads).
 #[derive(Default)]
 struct ScratchSlot {
-    /// Resident bytes of the worker's [`QueryWorkspace`].
+    /// Resident bytes of the worker's [`QueryWorkspace`] and result
+    /// staging buffer.
     bytes: AtomicUsize,
     /// Resident bytes of the worker's [`ResultArena`] slabs.
     arena_bytes: AtomicUsize,
@@ -707,11 +711,13 @@ impl Inner {
     }
 }
 
-/// The per-worker compute state: the reusable workspace and the result
-/// arena. One per worker thread, reused across every query, batch and
-/// epoch swap it serves.
+/// The per-worker compute state: the reusable workspace, the staging
+/// buffer the kernel writes each result into, and the result arena the
+/// staged edges are copied to. One per worker thread, reused across
+/// every query, batch and epoch swap it serves.
 struct KernelState {
     ws: QueryWorkspace,
+    staging: Vec<EdgeId>,
     arena: ResultArena,
 }
 
@@ -719,8 +725,31 @@ impl KernelState {
     fn new(arena_slab_edges: usize) -> Self {
         KernelState {
             ws: QueryWorkspace::new(),
+            staging: Vec::new(),
             arena: ResultArena::with_slab_capacity(arena_slab_edges),
         }
+    }
+
+    /// Computes one leader's significant community. The workspace
+    /// provides every scratch buffer, the staging buffer the kernel's
+    /// output and the arena the result storage; nothing is allocated
+    /// once all three are warm.
+    fn answer(&mut self, search: &CommunitySearch, req: &QueryRequest) -> CommunitySummary {
+        search.significant_community_into(
+            req.q,
+            req.alpha as usize,
+            req.beta as usize,
+            req.algo,
+            &mut self.ws,
+            &mut self.staging,
+        );
+        let edges = self.arena.store(&self.staging);
+        CommunitySummary::from_arena_edges(search.graph(), edges, &mut self.ws)
+    }
+
+    /// Resident heap bytes of the workspace and the staging buffer.
+    fn scratch_bytes(&self) -> usize {
+        self.ws.heap_bytes() + self.staging.capacity() * std::mem::size_of::<EdgeId>()
     }
 }
 
@@ -841,10 +870,11 @@ fn serve_batch(
     state: &mut WorkerState,
     enqueued: Instant,
 ) -> Vec<QueryResponse> {
-    let WorkerState {
-        kernel: k,
-        batch: b,
-    } = state;
+    // Typed bindings rather than a destructuring pattern, so `scs
+    // analyze` can resolve `k.answer(..)` and prove the kernel and the
+    // arena store under this function's contract.
+    let k: &mut KernelState = &mut state.kernel;
+    let b: &mut BatchScratch = &mut state.batch;
     let mut laps = Laps { enqueued, at_us: 0 };
     // The whole job waited in the queue together.
     let queue_us = laps.lap();
@@ -974,18 +1004,7 @@ fn serve_batch(
             // An unservable key runs no kernel; its kernel stage still
             // marks the path it took.
             let summary = if Inner::servable(&req, &search) {
-                // The worker's workspace provides every scratch buffer
-                // and its arena the result storage; nothing is
-                // allocated once both are warm.
-                let edges = search.significant_community_arena(
-                    req.q,
-                    req.alpha as usize,
-                    req.beta as usize,
-                    req.algo,
-                    &mut k.ws,
-                    &mut k.arena,
-                );
-                CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws)
+                k.answer(&search, &req)
             } else {
                 CommunitySummary::empty()
             };
@@ -1470,7 +1489,7 @@ impl ShardedEngine {
                                 // ordering: Relaxed — gauge stores; the
                                 // reply-cell mutex handoff that follows
                                 // publishes them to the submitter.
-                                slot.bytes.store(k.ws.heap_bytes(), Ordering::Relaxed);
+                                slot.bytes.store(k.scratch_bytes(), Ordering::Relaxed);
                                 slot.arena_bytes
                                     .store(k.arena.resident_bytes(), Ordering::Relaxed);
                                 slot.allocs_avoided
@@ -1524,10 +1543,10 @@ impl ShardedEngine {
 
     /// Enqueues a whole batch as **one** job: one queue round-trip, one
     /// index-snapshot read, one cache lookup per unique key, and one
-    /// [`scs::CommunitySearch::significant_community_arena`] call per
-    /// leader on the serving worker. The handle yields every response
-    /// in submission order; results are identical to submitting each
-    /// request on its own.
+    /// [`scs::CommunitySearch::significant_community_into`] call (plus
+    /// one arena store) per leader on the serving worker. The handle
+    /// yields every response in submission order; results are identical
+    /// to submitting each request on its own.
     ///
     /// Batching amortizes the per-request fixed costs; one worker
     /// serves the whole batch, which pays off when requests are

@@ -26,8 +26,9 @@
 //!   requests through the queue as one job, and a per-request
 //!   submission is a batch of one: one index-snapshot read, one cache
 //!   lookup per unique key, and each leader answered by
-//!   [`scs::CommunitySearch::significant_community_arena`] on the
-//!   serving worker's one reused workspace and arena; responses come
+//!   [`scs::CommunitySearch::significant_community_into`] on the
+//!   serving worker's one reused workspace and staging buffer, then
+//!   copied into its result arena (`ResultArena::store`); responses come
 //!   back in submission order with results identical to per-request
 //!   submission.
 //! * [`cache::ShardedCache`] — a power-of-two-sharded, per-shard-locked

@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{Algorithm, CommunitySearch};
 use scs_service::{
     build_workload, replay, replay_batched, CommunitySummary, QueryEngine, QueryRequest,
     ServiceConfig, WorkloadSpec,
@@ -56,7 +56,6 @@ fn batched_replay_is_bit_identical_to_per_request() {
     engine.shutdown();
 
     assert_eq!(per_request.len(), batched.len());
-    let mut ws = QueryWorkspace::new();
     for (i, ((req, a), b)) in workload.iter().zip(&per_request).zip(&batched).enumerate() {
         assert_eq!(a.request, *req, "per-request slot {i} out of order");
         assert_eq!(b.request, *req, "batched slot {i} out of order");
@@ -65,13 +64,8 @@ fn batched_replay_is_bit_identical_to_per_request() {
             "slot {i} diverged between submission modes (batched cached={} coalesced={})",
             b.cached, b.coalesced
         );
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             b.summary,
             CommunitySummary::from_subgraph(&sub),
@@ -202,15 +196,9 @@ fn batches_race_single_requests_on_one_engine() {
     });
     engine.shutdown();
 
-    let mut ws = QueryWorkspace::new();
     for (req, summary) in collected {
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             summary,
             CommunitySummary::from_subgraph(&sub),
@@ -244,16 +232,10 @@ fn one_giant_two_algorithm_batch_matches_oracle() {
     assert_eq!(engine.inflight_len(), 0, "flights leaked");
     engine.shutdown();
 
-    let mut ws = QueryWorkspace::new();
     for (req, resp) in reqs.iter().zip(&resps) {
         assert_eq!(resp.request, *req, "submission order broken");
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             resp.summary,
             CommunitySummary::from_subgraph(&sub),
@@ -290,16 +272,14 @@ fn batches_stay_sound_under_concurrent_installs() {
             ]
         })
         .collect();
-    let mut ws = QueryWorkspace::new();
     let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
     for req in &keys {
-        let mut on = |search: &Arc<CommunitySearch>| {
-            let sub = search.significant_community_in(
+        let on = |search: &Arc<CommunitySearch>| {
+            let sub = search.significant_community(
                 req.q,
                 req.alpha as usize,
                 req.beta as usize,
                 req.algo,
-                &mut ws,
             );
             CommunitySummary::from_subgraph(&sub)
         };
@@ -399,16 +379,14 @@ fn batch_arena_recycling_stays_bit_identical_under_concurrent_installs() {
             ]
         })
         .collect();
-    let mut ws = QueryWorkspace::new();
     let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
     for req in &keys {
-        let mut on = |search: &Arc<CommunitySearch>| {
-            let sub = search.significant_community_in(
+        let on = |search: &Arc<CommunitySearch>| {
+            let sub = search.significant_community(
                 req.q,
                 req.alpha as usize,
                 req.beta as usize,
                 req.algo,
-                &mut ws,
             );
             CommunitySummary::from_subgraph(&sub)
         };

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scs::{Algorithm, CommunitySearch, DynamicIndex, QueryWorkspace};
+use scs::{Algorithm, CommunitySearch, DynamicIndex};
 use scs_service::{
     build_workload, replay, CommunitySummary, QueryEngine, QueryRequest, ServiceConfig,
     WorkloadSpec,
@@ -19,13 +19,8 @@ use std::sync::Arc;
 /// whole run — the same reuse discipline as the engine's workers — so
 /// the oracle comparison also cross-checks warm-workspace results
 /// against whatever path the engine took.
-fn oracle(
-    search: &CommunitySearch,
-    req: &QueryRequest,
-    ws: &mut QueryWorkspace,
-) -> CommunitySummary {
-    let sub =
-        search.significant_community_in(req.q, req.alpha as usize, req.beta as usize, req.algo, ws);
+fn oracle(search: &CommunitySearch, req: &QueryRequest) -> CommunitySummary {
+    let sub = search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
     CommunitySummary::from_subgraph(&sub)
 }
 
@@ -59,10 +54,9 @@ fn thousand_concurrent_queries_match_single_threaded_oracle() {
     let (report, responses) = replay(&engine, &workload, 8);
 
     assert_eq!(responses.len(), workload.len());
-    let mut ws = QueryWorkspace::new();
     for (i, (req, resp)) in workload.iter().zip(&responses).enumerate() {
         assert_eq!(resp.request, *req);
-        let expect = oracle(&search, req, &mut ws);
+        let expect = oracle(&search, req);
         assert_eq!(
             resp.summary, expect,
             "response {i} diverged from the oracle (cached={}, coalesced={})",
@@ -122,9 +116,8 @@ fn mixed_algorithms_and_parameters_match_oracle() {
         },
     );
     let (_, responses) = replay(&engine, &doubled, 6);
-    let mut ws = QueryWorkspace::new();
     for (req, resp) in doubled.iter().zip(&responses) {
-        assert_eq!(resp.summary, oracle(&search, req, &mut ws), "req {req:?}");
+        assert_eq!(resp.summary, oracle(&search, req), "req {req:?}");
     }
     engine.shutdown();
 }
@@ -165,12 +158,11 @@ fn epoch_swap_serves_updated_index_without_restart() {
     let epoch = engine.install(updated.clone());
     assert_eq!(epoch, 1);
 
-    let mut ws = QueryWorkspace::new();
     for v in updated.graph().vertices().step_by(5) {
         let req = QueryRequest::new(v, 2, 2, Algorithm::Auto);
         let resp = engine.query(req);
         assert_eq!(resp.epoch, 1);
-        assert_eq!(resp.summary, oracle(&updated, &req, &mut ws));
+        assert_eq!(resp.summary, oracle(&updated, &req));
     }
     engine.shutdown();
 }

@@ -88,13 +88,16 @@ fn main() {
         assert_eq!(allocations() - before, 0, "α={a} β={b}");
     }
 
-    // The arena entry points extend the guarantee to the *result*: a
-    // warm arena stores repeated answers with zero allocations too.
+    // Storing each answer into a result arena, as the serving layer's
+    // leaders do, extends the guarantee to the *result*: a warm arena
+    // stores repeated answers with zero allocations too.
     let mut arena = ResultArena::new();
     for algo in Algorithm::ALL {
-        search.significant_community_arena(q, 2, 2, algo, &mut ws, &mut arena); // warm slab
+        search.significant_community_into(q, 2, 2, algo, &mut ws, &mut out);
+        arena.store(&out); // warm slab
         let before = allocations();
-        let stored = search.significant_community_arena(q, 2, 2, algo, &mut ws, &mut arena);
+        search.significant_community_into(q, 2, 2, algo, &mut ws, &mut out);
+        let stored = arena.store(&out);
         let delta = allocations() - before;
         assert_eq!(
             delta, 0,
@@ -108,11 +111,12 @@ fn main() {
     // tiny slab and handles dropped per query, the arena turns one slab
     // over again and again without ever going back to the allocator.
     let mut small = ResultArena::with_slab_capacity(8);
-    search.significant_community_arena(q, 2, 2, Algorithm::Peel, &mut ws, &mut small); // allocates the slab
+    search.significant_community_into(q, 2, 2, Algorithm::Peel, &mut ws, &mut out);
+    small.store(&out); // allocates the slab
     let before = allocations();
     for _ in 0..32 {
-        let stored =
-            search.significant_community_arena(q, 2, 2, Algorithm::Peel, &mut ws, &mut small);
+        search.significant_community_into(q, 2, 2, Algorithm::Peel, &mut ws, &mut out);
+        let stored = small.store(&out);
         assert!(stored.pinned());
     }
     assert_eq!(
